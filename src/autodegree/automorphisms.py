@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from .groups import (
     GroupError,
@@ -18,6 +19,7 @@ from .groups import (
     ParentMismatchError,
     SizeCapError,
     SubgroupSet,
+    closure_witness,
     iter_isomorphisms,
     subgroup_closure,
 )
@@ -109,6 +111,11 @@ class AutGroup:
     def identity(self) -> Automorphism:
         return self.members[0]
 
+    @cached_property
+    def non_identity(self) -> tuple[Automorphism, ...]:
+        """Every member but the identity, in member order."""
+        return tuple(a for a in self.members if not a.is_identity())
+
     def validate(self) -> None:
         """Check the group axioms for this set under composition."""
         if not self.members:
@@ -119,11 +126,8 @@ class AutGroup:
             raise InvariantError("members[0] is not the identity automorphism")
         for a in self.members:
             a.validate()
-            if a.inverse().image not in self._positions:
-                raise InvariantError("automorphism set not closed under inverse")
-            for b in self.members:
-                if a.compose(b).image not in self._positions:
-                    raise InvariantError("automorphism set not closed under composition")
+        if _composition_witness(self.parent, self.members) is not None:
+            raise InvariantError("automorphism set not closed under composition")
 
     @cached_property
     def abstract_group(self) -> GroupTable:
@@ -148,13 +152,25 @@ class AutGroup:
         return table
 
 
+def _composition_witness(
+    G: GroupTable, members: tuple[Automorphism, ...]
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """closure_witness for automorphisms of G under composition, on image arrays."""
+    return closure_witness(
+        tuple(G.elements()),
+        [a.image for a in members],
+        lambda a, b: tuple(map(a.__getitem__, b)),
+    )
+
+
 def compute_aut(G: GroupTable, cap: int = 24) -> AutGroup:
     """The full automorphism group, by generator-image backtracking.
 
     Candidate generator images are restricted to elements of equal order;
     every complete assignment is validated during map extension, so the
-    enumeration returns exactly the automorphisms. Closure is re-checked
-    cheaply afterwards as insurance against search bugs.
+    enumeration returns exactly the automorphisms. As insurance against
+    search bugs, closure under composition is then certified from a
+    generating set (:func:`closure_witness`), in O(|A| log |A| n) steps.
     """
     if G.order > cap:
         raise SizeCapError(
@@ -162,14 +178,8 @@ def compute_aut(G: GroupTable, cap: int = 24) -> AutGroup:
         )
     perms = sorted(h.image for h in iter_isomorphisms(G, G))
     group = AutGroup(G, tuple(Automorphism(G, p) for p in perms))
-    pos = group._positions
-    n = G.order
-    for a in group.members:
-        ai = a.image
-        for b in group.members:
-            bi = b.image
-            if tuple(ai[bi[x]] for x in range(n)) not in pos:
-                raise InvariantError("automorphism enumeration is not closed under composition")
+    if _composition_witness(G, group.members) is not None:
+        raise InvariantError("automorphism enumeration is not closed under composition")
     return group
 
 
@@ -285,9 +295,8 @@ def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     """
     if A.size == 1:
         return ()
-    non_identity = [a for a in A.members if not a.is_identity()]
     return tuple(
-        x for x in H.members if all(a.image[x] != x for a in non_identity)
+        x for x in H.members if all(a.image[x] != x for a in A.non_identity)
     )
 
 

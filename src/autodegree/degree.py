@@ -558,9 +558,14 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     whole_aut = whole_subgroup(aut_table)
     k_group, _ = subgroup_as_group(g, ksub)
     d_flag = True
+    checked: set[tuple[int, ...]] = set()
     for x in outside:
         stab = stabilizer(A, x)
-        stab_sub = SubgroupSet(aut_table, tuple(A.index_of(a) for a in stab.members))
+        stab_index = tuple(A.index_of(a) for a in stab.members)
+        if stab_index in checked:
+            continue
+        checked.add(stab_index)
+        stab_sub = SubgroupSet(aut_table, stab_index)
         if not is_normal(aut_table, stab_sub, whole_aut):
             d_flag = False
             break

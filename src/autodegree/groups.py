@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
+
+T = TypeVar("T", bound=Hashable)
 
 
 class GroupError(Exception):
@@ -214,12 +216,71 @@ def parse_group_table(text: str) -> GroupTable:
     return g
 
 
+def closure_witness(
+    identity: T, members: Sequence[T], product: Callable[[T, T], T]
+) -> Optional[tuple[T, T]]:
+    """Certify that ``members`` is a group under ``product``, from a generating set.
+
+    ``product`` must be the operation of a finite group that contains
+    every member, and ``identity`` its identity. The members are walked in
+    order, growing a reached set R (starting at the identity) and a
+    generator list T: a member s not yet in R is appended to T, every r
+    already in R is multiplied on the right by s, and the new elements are
+    closed under all of T. Returns the first pair (r, t) of R x T whose
+    product falls outside the set, ``(identity, identity)`` if the identity
+    itself is missing, or None on success.
+
+    On success R is the whole set and R t lies in R for each t in T. Right
+    multiplication by t is injective, so on a finite set it is onto: the set
+    is closed under t^-1 too, hence it is the subgroup generated by T. Each
+    new generator at least doubles R, so |T| <= log2 |members| and the check
+    takes O(|members| |T|) products instead of |members|^2 (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    """
+    inside = set(members)
+    if identity not in inside:
+        return identity, identity
+    size = len(inside)
+    reached = {identity}
+    order = [identity]
+    gens: list[T] = []
+    for s in members:
+        if s in reached:
+            continue
+        gens.append(s)
+        old = len(order)
+        for i in range(old):
+            r = order[i]
+            y = product(r, s)
+            if y not in reached:
+                if y not in inside:
+                    return r, s
+                reached.add(y)
+                order.append(y)
+        i = old
+        while i < len(order):
+            r = order[i]
+            i += 1
+            for t in gens:
+                y = product(r, t)
+                if y not in reached:
+                    if y not in inside:
+                        return r, t
+                    reached.add(y)
+                    order.append(y)
+        if len(order) == size:
+            break
+    return None
+
+
 @dataclass(frozen=True)
 class SubgroupSet:
     """A subgroup of a parent group, stored as a sorted tuple of member indices.
 
-    Construction verifies the subgroup axioms (identity, products, inverses),
-    so any SubgroupSet in circulation is genuinely a subgroup.
+    Construction certifies the subgroup axioms with :func:`closure_witness`,
+    in O(|H| log |H|) table lookups, so any SubgroupSet in circulation is
+    genuinely a subgroup. A set that is not closed raises AxiomError naming
+    a pair whose product leaves it.
     """
 
     parent: GroupTable
@@ -235,15 +296,9 @@ class SubgroupSet:
         if not ms or ms[0] != 0:
             raise AxiomError("subgroup must contain the identity (index 0)")
         t = self.parent.table
-        mset = set(ms)
-        invs = self.parent.inverses
-        for a in ms:
-            if invs[a] not in mset:
-                raise AxiomError(f"subgroup not closed under inverse at element {a}")
-            row = t[a]
-            for b in ms:
-                if row[b] not in mset:
-                    raise AxiomError(f"subgroup not closed under product at ({a}, {b})")
+        witness = closure_witness(0, ms, lambda a, b: t[a][b])
+        if witness is not None:
+            raise AxiomError(f"subgroup not closed under product at {witness}")
 
     @property
     def size(self) -> int:
@@ -310,7 +365,10 @@ def enumerate_subgroups(G: GroupTable, cap: int = 24) -> list[SubgroupSet]:
 
     Works by cyclic extension: start from the trivial subgroup and
     repeatedly extend each known subgroup by a single new generator,
-    deduplicating by member tuple. Exhaustive, hence the order cap.
+    deduplicating by member tuple. Each subgroup keeps the generators that
+    produced it, and an extension closes those plus the new element rather
+    than every member, so a closure costs O(|K| log |G|) lookups.
+    Exhaustive, hence the order cap.
     """
     if G.order > cap:
         raise SizeCapError(
@@ -318,18 +376,19 @@ def enumerate_subgroups(G: GroupTable, cap: int = 24) -> list[SubgroupSet]:
         )
     trivial = trivial_subgroup(G)
     found: dict[tuple[int, ...], SubgroupSet] = {trivial.members: trivial}
-    frontier = [trivial]
+    frontier: list[tuple[SubgroupSet, tuple[int, ...]]] = [(trivial, ())]
     while frontier:
         nxt = []
-        for h in frontier:
+        for h, gens in frontier:
             hset = h.member_set
             for g in G.elements():
                 if g in hset:
                     continue
-                k = subgroup_closure(G, h.members + (g,))
+                seed = gens + (g,)
+                k = subgroup_closure(G, seed)
                 if k.members not in found:
                     found[k.members] = k
-                    nxt.append(k)
+                    nxt.append((k, seed))
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 
@@ -407,9 +466,12 @@ def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[
     """H re-indexed as a standalone group: (table, embedding).
 
     ``embedding[i]`` is the parent index of standalone element i; the
-    identity keeps index 0 because members are sorted.
+    identity keeps index 0 because members are sorted. The whole group
+    re-indexes to itself, so G is returned as it is.
     """
     _require_same_parent(G, H)
+    if H.is_whole():
+        return G, H.members
     pos = {m: i for i, m in enumerate(H.members)}
     t = G.table
     rows = tuple(tuple(pos[t[a][b]] for b in H.members) for a in H.members)

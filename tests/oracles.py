@@ -72,6 +72,25 @@ def is_subgroup(table, subset) -> bool:
     return True
 
 
+def brute_is_group(identity, members, product) -> bool:
+    """Pairwise check: the identity and every product of two members lie in the set.
+
+    Inside a finite group these two facts already make the set a subgroup.
+    """
+    mset = set(members)
+    return identity in mset and all(product(a, b) in mset for a in mset for b in mset)
+
+
+def brute_generated(identity, seed, product) -> set:
+    """The set generated by ``seed``, by repeated pairwise products to a fixed point."""
+    members = {identity} | set(seed)
+    while True:
+        new = {product(a, b) for a in members for b in members} - members
+        if not new:
+            return members
+        members |= new
+
+
 def brute_subgroups(table) -> list[tuple[int, ...]]:
     """All subgroups by filtering every subset whose size divides the order."""
     n = len(table)
@@ -86,12 +105,7 @@ def brute_subgroups(table) -> list[tuple[int, ...]]:
 
 def brute_closure(table, seed) -> tuple[int, ...]:
     """Generated subgroup by repeated pairwise products to a fixed point."""
-    members = {0} | set(seed)
-    while True:
-        new = {table[a][b] for a in members for b in members} - members
-        if not new:
-            return tuple(sorted(members))
-        members |= new
+    return tuple(sorted(brute_generated(0, seed, lambda a, b: table[a][b])))
 
 
 def brute_orbit(table, auts, x) -> tuple[int, ...]:

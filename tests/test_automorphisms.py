@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from autodegree import automorphisms
 from autodegree.catalog import catalog_build, cyclic, quaternion8, symmetric
 from autodegree.automorphisms import (
     ActionOrbit,
+    AutGroup,
     Automorphism,
     autocentre,
     autocommutator,
@@ -24,9 +26,11 @@ from autodegree.automorphisms import (
     trivial_stabilizer_set,
 )
 from autodegree.groups import (
+    InvariantError,
     ParentMismatchError,
     SizeCapError,
     center,
+    iter_isomorphisms,
     subgroup_closure,
     trivial_subgroup,
     whole_subgroup,
@@ -80,6 +84,33 @@ class TestComputeAut:
     def test_group_axioms_on_members(self):
         _, a = aut_of("D(4)")
         a.validate()
+
+    @pytest.mark.parametrize("name", ["S(3)", "C(5)", "Q8"])
+    def test_validate_rejects_a_set_missing_one_member(self, name):
+        g, a = aut_of(name)
+        for dropped in range(a.size):
+            rest = a.members[:dropped] + a.members[dropped + 1:]
+            with pytest.raises(InvariantError):
+                AutGroup(g, rest).validate()
+
+    @pytest.mark.parametrize("name", ["S(3)", "C(5)", "D(4)"])
+    def test_enumeration_dropping_one_automorphism_is_caught(self, name, monkeypatch):
+        g, full = aut_of(name)
+        for dropped in full.members:
+            def search(G1, G2, dropped=dropped):
+                return (h for h in iter_isomorphisms(G1, G2) if h.image != dropped.image)
+
+            monkeypatch.setattr(automorphisms, "iter_isomorphisms", search)
+            with pytest.raises(InvariantError, match="not closed under composition"):
+                compute_aut(g)
+
+    def test_c2_c2_d4_past_the_default_cap(self):
+        assert compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32).size == 3072
+
+    def test_non_identity_members(self):
+        _, a = aut_of("D(4)")
+        assert a.non_identity == a.members[1:]
+        assert not any(m.is_identity() for m in a.non_identity)
 
     def test_abstract_group_composition_consistent(self):
         _, a = aut_of("C(5)")

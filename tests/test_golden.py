@@ -1,0 +1,58 @@
+"""The CLI run in a fresh interpreter: golden digests and wall-clock bounds.
+
+``golden/digests.json`` holds the sha256 of the stdout and the exit code of
+each command. A change that alters any of these bytes must re-record the
+digest and say why.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
+
+
+def run_cli(argv, timeout):
+    """``python -m autodegree *argv`` in a fresh interpreter: (exit code, stdout bytes)."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "autodegree", *argv],
+        capture_output=True, env=env, timeout=timeout, check=False,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("case", GOLDEN["commands"], ids=lambda c: " ".join(c["argv"][:3]))
+def test_cli_output_matches_golden_digest(case):
+    code, out = run_cli(case["argv"], timeout=120)
+    assert code == case["exit"]
+    if "summary" in case:
+        summary = " ".join(
+            line.decode().removeprefix("summary.")
+            for line in out.splitlines() if line.startswith(b"summary.")
+        )
+        assert summary == case["summary"]
+    assert hashlib.sha256(out).hexdigest() == case["sha256"]
+
+
+# E(2,4) has order 16 and |Aut| = |GL(4,2)| = 20160. Certifying the closure of
+# Aut from a generating set makes it finish in about 1.5 s on a 2-vCPU VM;
+# the pairwise recheck it replaced ran for more than 300 s.
+E24_BOUND_S = 30
+
+
+def test_e24_compute_finishes_within_bound():
+    start = time.monotonic()
+    code, out = run_cli(["compute", "--group", "E(2,4)", "--format", "kv"], timeout=E24_BOUND_S)
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert b"report.0.size_aut=20160\n" in out
+    assert elapsed < E24_BOUND_S

@@ -368,6 +368,12 @@ class TestQuotients:
         with pytest.raises(PreconditionError):
             quotient_group(s3, whole_subgroup(s3), h)
 
+    def test_subgroup_as_group_of_whole_is_the_group(self):
+        s3 = symmetric(3)
+        table, embedding = subgroup_as_group(s3, whole_subgroup(s3))
+        assert table == s3
+        assert embedding == tuple(range(6))
+
     def test_subgroup_as_group(self):
         s3 = symmetric(3)
         a3 = subgroup_closure(s3, {3})
