@@ -20,7 +20,9 @@ from .groups import (
     SizeCapError,
     SubgroupSet,
     closure_witness,
+    compose_perms,
     iter_isomorphisms,
+    permutation_table,
     subgroup_closure,
 )
 
@@ -43,14 +45,11 @@ class Automorphism:
         """self applied after other."""
         if other.parent != self.parent:
             raise ParentMismatchError("cannot compose automorphisms of different groups")
-        oi = other.image
-        return Automorphism(self.parent, tuple(self.image[oi[x]] for x in range(len(oi))))
+        return Automorphism(self.parent, compose_perms(self.image, other.image))
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.image)
-        for x, y in enumerate(self.image):
-            inv[y] = x
-        return Automorphism(self.parent, tuple(inv))
+        hom = GroupHom(self.parent, self.parent, self.image)
+        return Automorphism(self.parent, hom.inverse().image)
 
     def validate(self) -> None:
         if sorted(self.image) != list(self.parent.elements()):
@@ -133,20 +132,10 @@ class AutGroup:
     def abstract_group(self) -> GroupTable:
         """This set as an abstract group under composition.
 
-        Index i of the abstract group is members[i]; the identity lands at
-        index 0 by the ordering argument above.
+        Index i of the abstract group is members[i] (:func:`permutation_table`);
+        the identity lands at index 0 by the ordering argument above.
         """
-        pos = self._positions
-        n = self.parent.order
-        rows = []
-        for a in self.members:
-            ai = a.image
-            row = []
-            for b in self.members:
-                bi = b.image
-                row.append(pos[tuple(ai[bi[x]] for x in range(n))])
-            rows.append(tuple(row))
-        table = GroupTable(tuple(rows))
+        table = permutation_table([a.image for a in self.members])
         if any(table.table[0][j] != j for j in range(len(self.members))):
             raise InvariantError("identity automorphism did not land at index 0")
         return table
@@ -156,11 +145,7 @@ def _composition_witness(
     G: GroupTable, members: tuple[Automorphism, ...]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """closure_witness for automorphisms of G under composition, on image arrays."""
-    return closure_witness(
-        tuple(G.elements()),
-        [a.image for a in members],
-        lambda a, b: tuple(map(a.__getitem__, b)),
-    )
+    return closure_witness(tuple(G.elements()), [a.image for a in members], compose_perms)
 
 
 def compute_aut(G: GroupTable, cap: int = 24) -> AutGroup:

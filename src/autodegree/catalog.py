@@ -23,7 +23,7 @@ import itertools
 import re
 from functools import reduce
 
-from .groups import GroupError, GroupTable, direct_product
+from .groups import GroupError, GroupTable, direct_product, permutation_table
 
 GRAMMAR = (
     "C(n) cyclic; D(n) dihedral of order 2n; Q8; S(n) symmetric with n <= 4; "
@@ -98,40 +98,32 @@ def _perm_parity(perm: tuple[int, ...]) -> int:
     return inv % 2
 
 
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> GroupTable:
-    pos = {p: i for i, p in enumerate(perms)}
-    rows = tuple(
-        tuple(pos[tuple(a[b[x]] for x in range(len(a)))] for b in perms)
-        for a in perms
-    )
-    return GroupTable(rows, name=name)
-
-
 def symmetric(n: int) -> GroupTable:
     if not 1 <= n <= 4:
         raise CatalogNameError(f"S({n})", "symmetric groups are limited to n <= 4")
     perms = list(itertools.permutations(range(n)))
-    return _perm_group(perms, f"S({n})")
+    return permutation_table(perms, f"S({n})")
 
 
 def alternating4() -> GroupTable:
     perms = [p for p in itertools.permutations(range(4)) if _perm_parity(p) == 0]
-    return _perm_group(perms, "A(4)")
+    return permutation_table(perms, "A(4)")
 
 
-def _is_prime(n: int) -> bool:
+def smallest_prime_divisor(n: int) -> int:
+    """The least prime factor of n, by trial division; ValueError for n < 2."""
     if n < 2:
-        return False
+        raise ValueError(f"no prime divides {n}")
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
 
 
 def elementary_abelian(p: int, k: int) -> GroupTable:
-    if not _is_prime(p):
+    if p < 2 or smallest_prime_divisor(p) != p:
         raise CatalogNameError(f"E({p},{k})", "E(p,k) needs a prime p")
     if k < 1:
         raise CatalogNameError(f"E({p},{k})", "E(p,k) needs k >= 1")

@@ -22,7 +22,7 @@ from .automorphisms import (
     stabilizer,
     trivial_stabilizer_set,
 )
-from .catalog import cyclic
+from .catalog import cyclic, smallest_prime_divisor
 from .groups import (
     GroupError,
     PreconditionError,
@@ -32,23 +32,13 @@ from .groups import (
     is_normal,
     quotient_group,
     subgroup_as_group,
+    subgroup_closure,
     whole_subgroup,
 )
 
 
 class HypothesisError(GroupError):
     """The standing assumptions behind a bound are not met on this instance."""
-
-
-def smallest_prime_divisor(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"no prime divides {n}")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def pr_definition(H: SubgroupSet, A: AutGroup) -> Fraction:
@@ -138,7 +128,7 @@ def degree_report(H: SubgroupSet, A: AutGroup) -> DegreeReport:
     """Compute every formula and structure size for one (H, A) instance."""
     core = autocentre(H, A)
     sset = autocommutator_set(H, A)
-    ksub = autocommutator_subgroup(H, A)
+    ksub = subgroup_closure(H.parent, sset)
     xset = trivial_stabilizer_set(H, A)
     orbs = orbits_on_subgroup(A, H)
     stab_sum, fixed_sum = pr_via_sums(H, A)

@@ -105,20 +105,10 @@ class GroupTable:
                 raise InvariantError(f"element {a} has no finite order; table is not a group")
         return k
 
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        t = self.table
-        return t[t[g][x]][self.inverses[g]]
-
     @cached_property
     def order_profile(self) -> tuple[int, ...]:
         """Sorted multiset of element orders; a cheap isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in self.elements()))
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        n = len(t)
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
 
     def label(self) -> str:
         return self.name if self.name is not None else f"group<{self.order}>"
@@ -136,7 +126,7 @@ def validate_group_table(g: GroupTable) -> None:
     """Exhaustively check the group axioms, raising AxiomError with a witness.
 
     Checks, in order: identity at index 0, associativity over all n^3
-    triples, and two-sided inverses.
+    triples, and two-sided inverses (through :attr:`GroupTable.inverses`).
     """
     t = g.table
     n = len(t)
@@ -163,12 +153,7 @@ def validate_group_table(g: GroupTable) -> None:
                         f"associativity: ({a}*{b})*{c} = {t[ab][c]} "
                         f"but {a}*({b}*{c}) = {row_a[row_b[c]]}"
                     )
-    for a in range(n):
-        if 0 not in t[a]:
-            raise AxiomError(f"inverse: element {a} has no right inverse")
-        b = t[a].index(0)
-        if t[b][a] != 0:
-            raise AxiomError(f"inverse: {b} inverts {a} on the right but not the left")
+    g.inverses  # raises AxiomError for an element without a two-sided inverse
 
 
 def parse_group_table(text: str) -> GroupTable:
@@ -542,6 +527,22 @@ def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
     return Quotient(qgroup, tuple(cosets), sub, embedding, proj)
 
 
+def compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation a applied after b, as an image array: x -> a[b[x]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def permutation_table(perms: Sequence[tuple[int, ...]], name: Optional[str] = None) -> GroupTable:
+    """The Cayley table of permutations closed under :func:`compose_perms`.
+
+    Index i of the table is ``perms[i]``; a product outside the list raises
+    KeyError.
+    """
+    pos = {p: i for i, p in enumerate(perms)}
+    rows = tuple(tuple(pos[compose_perms(a, b)] for b in perms) for a in perms)
+    return GroupTable(rows, name=name)
+
+
 def generating_set(G: GroupTable) -> tuple[int, ...]:
     """A small generating set, chosen greedily by maximal closure growth.
 
@@ -563,31 +564,27 @@ def generating_set(G: GroupTable) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _extend_partial(
+def close_partial_map(
     G1: GroupTable,
     G2: GroupTable,
     mapped: dict[int, int],
     used: set[int],
-    gens: list[int],
-    g: int,
-    y: int,
-) -> Optional[tuple[dict[int, int], set[int]]]:
-    """Extend a partial isomorphism with g -> y, or None on contradiction.
+    gens: Sequence[int],
+) -> bool:
+    """Close an injective partial map G1 -> G2 under right multiplication by ``gens``.
 
-    ``mapped`` is defined exactly on the subgroup generated by the already
-    assigned generators; after the extension it is defined on the subgroup
-    generated by ``gens`` (which includes g), with every product relation
-    against the generators checked along the way.
+    ``mapped`` must already hold every generator and ``used`` its image
+    set; both are extended in place. Every x reached gets x*q -> f(x)*f(q)
+    for each generator q, and an image that is already taken or disagrees
+    with an earlier value is a conflict, reported by returning False.
+
+    On success f(xq) = f(x)f(q) for every x in the domain and q in
+    ``gens``. If the domain started with the identity and inside the
+    subgroup generated by ``gens``, it is now that subgroup and f is an
+    injective homomorphism on it (every element is a positive word in the
+    generators); the caller compares sizes to decide whether f is onto.
     """
-    if g in mapped:
-        return (mapped, used) if mapped[g] == y else None
-    if y in used:
-        return None
     t1, t2 = G1.table, G2.table
-    mapped = dict(mapped)
-    used = set(used)
-    mapped[g] = y
-    used.add(y)
     queue = list(mapped)
     i = 0
     while i < len(queue):
@@ -602,13 +599,13 @@ def _extend_partial(
             cur = mapped.get(xq)
             if cur is None:
                 if yq in used:
-                    return None
+                    return False
                 mapped[xq] = yq
                 used.add(yq)
                 queue.append(xq)
             elif cur != yq:
-                return None
-    return mapped, used
+                return False
+    return True
 
 
 def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
@@ -616,7 +613,10 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
 
     Backtracks over images of a generating set of G1; candidate images are
     restricted to elements of equal order and tried in ascending order, so
-    witnesses appear in lexicographic generator-image order.
+    witnesses appear in lexicographic generator-image order. Each new
+    generator image is pinned and the map closed under the generators
+    assigned so far with :func:`close_partial_map`, which also checks every
+    product relation against them.
     """
     if G1.order != G2.order or G1.order_profile != G2.order_profile:
         return
@@ -633,11 +633,13 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
                 raise InvariantError("generating set failed to generate the group")
             yield GroupHom(G1, G2, tuple(mapped[a] for a in range(n)))
             return
-        assigned = list(gens[: i + 1])
+        assigned = gens[: i + 1]
         for y in by_order.get(orders[i], ()):
-            out = _extend_partial(G1, G2, mapped, used, assigned, gens[i], y)
-            if out is not None:
-                yield from backtrack(i + 1, out[0], out[1])
+            if y in used:
+                continue
+            ext, ext_used = {**mapped, gens[i]: y}, used | {y}
+            if close_partial_map(G1, G2, ext, ext_used, assigned):
+                yield from backtrack(i + 1, ext, ext_used)
 
     yield from backtrack(0, {0: 0}, {0})
 

@@ -26,6 +26,7 @@ from .groups import (
     Quotient,
     SizeCapError,
     SubgroupSet,
+    close_partial_map,
     iter_isomorphisms,
     quotient_group,
     subgroup_as_group,
@@ -149,68 +150,35 @@ class IsoclinismWitness:
     beta: GroupHom   # autocommutator subgroup 1 -> 2, as standalone groups
 
 
-def _complete_multiplicative(
-    g1: GroupTable, g2: GroupTable, partial: dict[int, int], used: set[int]
-) -> Optional[tuple[int, ...]]:
-    """Close a partial bijection under products; None on any conflict.
-
-    Every ordered pair of known elements is combined exactly once, which
-    simultaneously extends the map over the generated subgroup and checks
-    the homomorphism property on it.
-    """
-    t1, t2 = g1.table, g2.table
-    partial = dict(partial)
-    used = set(used)
-    queue = list(partial)
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        fx = partial[x]
-        for j in range(i + 1):
-            w = queue[j]
-            fw = partial[w]
-            for a, b, fa, fb in ((x, w, fx, fw), (w, x, fw, fx)):
-                ab = t1[a][b]
-                fab = t2[fa][fb]
-                cur = partial.get(ab)
-                if cur is None:
-                    if fab in used:
-                        return None
-                    partial[ab] = fab
-                    used.add(fab)
-                    queue.append(ab)
-                elif cur != fab:
-                    return None
-        i += 1
-    if len(partial) != g1.order or len(used) != g2.order:
-        return None
-    return tuple(partial[x] for x in range(g1.order))
-
-
 def _derive_beta(
     P1: PairedGroups, P2: PairedGroups, psi_img: tuple[int, ...], gamma_img: tuple[int, ...]
 ) -> Optional[tuple[int, ...]]:
     """The only beta that can close the diagram for (psi, gamma), or None.
 
-    The diagram forces beta on every pairing value; those values generate
-    the autocommutator subgroup, so multiplicative closure either pins the
-    full isomorphism or exposes a conflict.
+    The diagram forces beta on every pairing value. Those values generate
+    the autocommutator subgroup, so closing the pinned map under right
+    multiplication by them (:func:`close_partial_map`) either extends it to
+    an injective homomorphism on the whole subgroup or exposes a conflict.
+    The pinned images are the second pair's pairing values, which generate
+    its subgroup, so a conflict-free beta is onto as well; the final size
+    check guards that bijection.
     """
     partial: dict[int, int] = {}
-    used: set[int] = set()
     for c, prow1 in enumerate(P1.pairing):
         prow2 = P2.pairing[psi_img[c]]
         for a, x in enumerate(prow1):
             y = prow2[gamma_img[a]]
-            cur = partial.get(x)
-            if cur is None:
-                if y in used:
-                    return None
-                partial[x] = y
-                used.add(y)
-            elif cur != y:
+            if partial.setdefault(x, y) != y:
                 return None
-    return _complete_multiplicative(P1.commutator_group, P2.commutator_group, partial, used)
+    used = set(partial.values())
+    if len(used) != len(partial):
+        return None
+    g1, g2 = P1.commutator_group, P2.commutator_group
+    if not close_partial_map(g1, g2, partial, used, list(partial)):
+        return None
+    if len(partial) != g1.order or len(used) != g2.order:
+        return None
+    return tuple(partial[x] for x in range(g1.order))
 
 
 def find_autoisoclinism(
@@ -264,29 +232,18 @@ def find_autoisoclinism(
     return None
 
 
-def _iso_defect(label: str, hom: GroupHom) -> Optional[str]:
-    if len(hom.image) != hom.source.order:
-        return f"{label}: image length {len(hom.image)} != source order {hom.source.order}"
-    if sorted(hom.image) != list(range(hom.target.order)):
-        return f"{label}: not a bijection onto the target"
-    s, t = hom.source.table, hom.target.table
-    img = hom.image
-    for a in hom.source.elements():
-        for b in hom.source.elements():
-            if img[s[a][b]] != t[img[a]][img[b]]:
-                return f"{label}: not a homomorphism at ({a}, {b})"
-    return None
-
-
 def verify_witness(
     P1: PairedGroups, P2: PairedGroups, witness: IsoclinismWitness
 ) -> tuple[bool, Optional[str]]:
     """Re-check a witness from scratch, independent of the search path.
 
-    Verifies that each of psi, gamma, beta is a bijective homomorphism and
+    Verifies that each of psi, gamma, beta is a bijective homomorphism,
+    with :meth:`GroupHom.validate` and :meth:`GroupHom.is_bijective`, and
     that the square commutes on every (coset, automorphism) input, with
-    the pairing values recomputed directly from the definitions. Returns
-    (ok, counterexample-or-None).
+    the pairing values recomputed through :func:`autocommutator_pairing`
+    from the definitions rather than read from the stored pairing. Returns
+    (ok, counterexample-or-None); a counterexample names the failing map
+    as psi, gamma or beta.
     """
     for label, hom, src, dst in (
         ("psi", witness.psi, P1.quotient.group, P2.quotient.group),
@@ -295,9 +252,12 @@ def verify_witness(
     ):
         if hom.source.table != src.table or hom.target.table != dst.table:
             return False, f"{label}: maps the wrong groups"
-        defect = _iso_defect(label, hom)
-        if defect is not None:
-            return False, defect
+        try:
+            hom.validate()
+        except GroupError as exc:
+            return False, f"{label}: {exc}"
+        if not hom.is_bijective():
+            return False, f"{label}: not a bijection onto the target"
     for c in range(len(P1.quotient.cosets)):
         for a, alpha in enumerate(P1.auts.members):
             v1 = autocommutator_pairing(P1, c, alpha)

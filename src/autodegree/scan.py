@@ -39,7 +39,6 @@ SUITES = ("formulas", "upper", "lower", "equalities", "equivalence", "isoclinism
 class CatalogEntry:
     name: str
     group: GroupTable
-    included_in_scan: bool = True
 
 
 def default_catalog() -> tuple[CatalogEntry, ...]:
@@ -317,7 +316,7 @@ def run_scan(
     scan = _Scan(report, aut_cap, quotient_cap)
     entries = [
         e for e in (catalog if catalog is not None else default_catalog())
-        if e.included_in_scan and e.group.order <= max_order
+        if e.group.order <= max_order
     ]
     prepared: list[tuple[CatalogEntry, object, list[SubgroupSet]]] = []
     for entry in entries:

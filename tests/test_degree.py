@@ -432,5 +432,6 @@ class TestHelpers:
         assert smallest_prime_divisor(15) == 3
         assert smallest_prime_divisor(49) == 7
         assert smallest_prime_divisor(97) == 97
-        with pytest.raises(ValueError):
-            smallest_prime_divisor(1)
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                smallest_prime_divisor(n)

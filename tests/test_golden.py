@@ -1,11 +1,15 @@
-"""The CLI run in a fresh interpreter: golden digests and wall-clock bounds.
+"""The CLI against golden digests, and a wall-clock bound in a fresh interpreter.
 
 ``golden/digests.json`` holds the sha256 of the stdout and the exit code of
-each command. A change that alters any of these bytes must re-record the
-digest and say why.
+each command. Its ``commands`` run in a fresh interpreter and its
+``in_process`` cases through ``cli.main`` with stdout captured, which keeps
+the many small cases cheap. A change that alters any of these bytes must
+re-record the digest and say why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +18,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from autodegree import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
@@ -41,6 +47,15 @@ def test_cli_output_matches_golden_digest(case):
         )
         assert summary == case["summary"]
     assert hashlib.sha256(out).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["in_process"], ids=lambda c: " ".join(c["argv"][:3]))
+def test_cli_main_matches_golden_digest(case):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(case["argv"])
+    assert code == case["exit"]
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == case["sha256"]
 
 
 # E(2,4) has order 16 and |Aut| = |GL(4,2)| = 20160. Certifying the closure of

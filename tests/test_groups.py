@@ -27,6 +27,7 @@ from autodegree.groups import (
     SubgroupSet,
     TableParseError,
     center,
+    close_partial_map,
     direct_product,
     enumerate_subgroups,
     find_isomorphism,
@@ -174,7 +175,10 @@ class TestCatalog:
             catalog_build("F(7)")
         assert "Dic(3)" in str(exc.value)
 
-    @pytest.mark.parametrize("name", ["S(5)", "E(4,1)", "E(2,0)", "C(0)", "A(5)", "C(2)×", "Dic(4)"])
+    @pytest.mark.parametrize(
+        "name",
+        ["S(5)", "E(4,1)", "E(2,0)", "E(0,1)", "E(1,2)", "E(9,1)", "C(0)", "A(5)", "C(2)×", "Dic(4)"],
+    )
     def test_rejected_parameters(self, name):
         with pytest.raises(CatalogNameError):
             catalog_build(name)
@@ -423,6 +427,17 @@ class TestIsomorphisms:
         # C(4)xC(4) and M16... too big for a quick test; use Q8 vs C(2)xC(4):
         # different profiles, plus D(4) vs Q8 which share the order but not profile.
         assert find_isomorphism(dihedral(4), quaternion8()) is None
+
+    def test_partial_map_conflict_and_extension(self):
+        # In C(4) the generator 1 must go to an element of order 4: 1 -> 2
+        # forces 2 -> 0, an image already taken; 1 -> 3 extends to inversion.
+        z4 = cyclic(4)
+        mapped, used = {0: 0, 1: 2}, {0, 2}
+        assert not close_partial_map(z4, z4, mapped, used, [1])
+        mapped, used = {0: 0, 1: 3}, {0, 3}
+        assert close_partial_map(z4, z4, mapped, used, [1])
+        assert mapped == {0: 0, 1: 3, 2: 2, 3: 1}
+        assert used == {0, 1, 2, 3}
 
     def test_generating_set_small(self):
         assert generating_set(cyclic(7)) == (1,)

@@ -1,5 +1,6 @@
 """Autoisoclinism: pairing, witness search, verification, equal degrees."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from autodegree.automorphisms import compute_aut
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
-from autodegree.groups import GroupHom, SizeCapError, subgroup_closure
+from autodegree.groups import GroupHom, SizeCapError, find_isomorphism, subgroup_closure
 from autodegree.isoclinism import (
     IsoclinismWitness,
     autocommutator_pairing,
@@ -123,6 +124,40 @@ class TestWitnessSearch:
         assert ok, why
         forward = find_autoisoclinism(p2, p1)
         assert forward is not None
+
+    @pytest.mark.parametrize("spec1, spec2", [
+        (("C(2)×C(2)", [1]), ("S(3)", [1])),
+        (("C(2)×C(4)", [4]), ("C(2)×C(4)", [1])),
+    ])
+    def test_unequal_commutator_orders_find_nothing(self, spec1, spec2):
+        # Isomorphic quotients and automorphism groups, so the unrestricted
+        # search derives beta for every (gamma, psi); [H, A] orders differ,
+        # so no derived beta may be accepted.
+        def build(name, gens):
+            g = catalog_build(name)
+            return make_pair(g, subgroup_closure(g, gens))
+
+        p1, p2 = build(*spec1), build(*spec2)
+        assert find_isomorphism(p1.quotient.group, p2.quotient.group) is not None
+        assert find_isomorphism(p1.auts.abstract_group, p2.auts.abstract_group) is not None
+        assert p1.commutator.size != p2.commutator.size
+        assert find_autoisoclinism(p1, p2, fast_reject=False) is None
+        assert find_autoisoclinism(p2, p1, fast_reject=False) is None
+
+    @pytest.mark.parametrize("label", ["psi", "gamma"])
+    def test_bad_psi_or_gamma_named(self, label):
+        # For S(3) the quotient and the automorphism group both have order 6,
+        # with elements 1 and 3 of orders 2 and 3; the all-zero map is a
+        # homomorphism but not a bijection, and swapping 1 and 3 is a
+        # bijection but not a homomorphism.
+        p = pair_of("S(3)")
+        w = find_autoisoclinism(p, p)
+        hom = getattr(w, label)
+        for image, defect in (((0,) * 6, "not a bijection"), ((0, 3, 2, 1, 4, 5), "not a homomorphism")):
+            bad = dataclasses.replace(w, **{label: GroupHom(hom.source, hom.target, image)})
+            ok, why = verify_witness(p, p, bad)
+            assert not ok
+            assert why.startswith(f"{label}: {defect}"), why
 
     def test_unequal_degree_pairs_find_nothing(self):
         # Pr(C4) = 3/4 but Pr(C5) = 2/5; sizes also differ, but even an
