@@ -82,6 +82,13 @@ class AutGroup:
     The identity automorphism is always members[0]: every automorphism fixes
     index 0, and the identity array is lexicographically least among such
     permutations.
+
+    The action is tabulated once per group by two separate routes:
+    ``orbit_of`` from image sets, ``fixer_count`` by a pair-by-pair tally.
+    As A is a group, orbit-stabilizer gives |orbit(x)| |Stab(x)| = |A|. The
+    four degree formulas count by four routes (the fixer tally, the
+    :func:`stabilizer` lists, a per-automorphism loop, the orbit table), so
+    their agreement stays a check.
     """
 
     parent: GroupTable
@@ -111,9 +118,17 @@ class AutGroup:
         return self.members[0]
 
     @cached_property
-    def non_identity(self) -> tuple[Automorphism, ...]:
-        """Every member but the identity, in member order."""
-        return tuple(a for a in self.members if not a.is_identity())
+    def orbit_of(self) -> tuple["ActionOrbit", ...]:
+        """The orbit of each element, indexed by element: the set of its images."""
+        columns = zip(*(a.image for a in self.members))
+        orbits = (tuple(sorted(set(c))) for c in columns)
+        return tuple(ActionOrbit(ms[0], ms) for ms in orbits)
+
+    @cached_property
+    def fixer_count(self) -> tuple[int, ...]:
+        """How many members fix each element, counted pair by pair, not as |A| / |orbit|."""
+        columns = zip(*(a.image for a in self.members))
+        return tuple(c.count(x) for x, c in enumerate(columns))
 
     def validate(self) -> None:
         """Check the group axioms for this set under composition."""
@@ -201,8 +216,7 @@ class ActionOrbit:
 
 def orbit(A: AutGroup, x: int) -> ActionOrbit:
     A.parent.check_element(x)
-    ms = sorted({a.image[x] for a in A.members})
-    return ActionOrbit(ms[0], tuple(ms))
+    return A.orbit_of[x]
 
 
 def orbits_on_subgroup(A: AutGroup, H: SubgroupSet) -> list[ActionOrbit]:
@@ -211,10 +225,7 @@ def orbits_on_subgroup(A: AutGroup, H: SubgroupSet) -> list[ActionOrbit]:
     H need not be invariant under A, so an orbit may contain elements
     outside H; each orbit still appears once.
     """
-    seen: dict[int, ActionOrbit] = {}
-    for x in H.members:
-        o = orbit(A, x)
-        seen.setdefault(o.representative, o)
+    seen = {A.orbit_of[x].representative: A.orbit_of[x] for x in H.members}
     return [seen[r] for r in sorted(seen)]
 
 
@@ -247,22 +258,19 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
 
 
 def autocentre(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
-    """Members of H fixed by every automorphism in A."""
-    ms = tuple(x for x in H.members if all(a.image[x] == x for a in A.members))
-    return SubgroupSet(H.parent, ms)
+    """Members of H fixed by every automorphism in A: orbit size 1, as A holds the identity."""
+    return SubgroupSet(H.parent, tuple(x for x in H.members if A.orbit_of[x].size == 1))
 
 
 def autocommutator_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
-    """All values x^-1 * alpha(x) with x in H, alpha in A; sorted, contains 0."""
+    """All values x^-1 * alpha(x) with x in H, alpha in A; sorted, contains 0.
+
+    As alpha runs over A, alpha(x) runs over orbit(x), so this is the union
+    of x^-1 orbit(x) over x in H.
+    """
     t = H.parent.table
     invs = H.parent.inverses
-    out = set()
-    for x in H.members:
-        xi = invs[x]
-        row = t[xi]
-        for a in A.members:
-            out.add(row[a.image[x]])
-    return tuple(sorted(out))
+    return tuple(sorted({t[invs[x]][y] for x in H.members for y in A.orbit_of[x].members}))
 
 
 def autocommutator_subgroup(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
@@ -273,6 +281,8 @@ def autocommutator_subgroup(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
 def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     """Members of H fixed only by the identity automorphism.
 
+    By orbit-stabilizer, these are the members whose orbit has |A| elements.
+
     When A itself is trivial the literal definition would return all of H
     while the autocentre is also all of H; to keep the two disjoint, that
     degenerate case returns the empty set (the report layer surfaces a note
@@ -280,9 +290,7 @@ def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     """
     if A.size == 1:
         return ()
-    return tuple(
-        x for x in H.members if all(a.image[x] != x for a in A.non_identity)
-    )
+    return tuple(x for x in H.members if A.orbit_of[x].size == A.size)
 
 
 def conjugacy_class(G: GroupTable, x: int) -> ActionOrbit:

@@ -57,19 +57,20 @@ def cmd_compute(args) -> int:
     g = load_group(args.group)
     auts = am.compute_aut(g)
     subgroups = select_subgroups(g, args.subgroup)
+    cycles = [a.cycle_notation() for a in auts.members]
     lines: list[str] = []
     if args.format == "kv":
         lines.append(kv_line("compute.group", g.label()))
         lines.append(kv_line("compute.subgroup_spec", args.subgroup))
         for i, h in enumerate(subgroups):
             lines.extend(render_degree_kv(deg.degree_report(h, auts), prefix=f"report.{i}"))
-            for j, a in enumerate(auts.members):
-                lines.append(kv_line(f"report.{i}.aut.{j}", a.cycle_notation()))
+            for j, c in enumerate(cycles):
+                lines.append(kv_line(f"report.{i}.aut.{j}", c))
     else:
         for i, h in enumerate(subgroups):
             if i:
                 lines.append("")
-            lines.extend(render_degree_human(deg.degree_report(h, auts), auts=auts))
+            lines.extend(render_degree_human(deg.degree_report(h, auts), cycles=cycles))
     print("\n".join(lines))
     return 0
 

@@ -16,7 +16,6 @@ from .automorphisms import (
     autocentre,
     autocommutator_set,
     autocommutator_subgroup,
-    fixed_subgroup,
     orbit,
     orbits_on_subgroup,
     stabilizer,
@@ -42,13 +41,11 @@ class HypothesisError(GroupError):
 
 
 def pr_definition(H: SubgroupSet, A: AutGroup) -> Fraction:
-    """Fixed-pair count over |H| |A|, straight from the definition."""
-    hits = 0
-    for x in H.members:
-        for a in A.members:
-            if a.image[x] == x:
-                hits += 1
-    return Fraction(hits, H.size * A.size)
+    """Fixed-pair count over |H| |A|, from the tally ``AutGroup.fixer_count``.
+
+    No other degree formula reads that tally; :class:`AutGroup` lists the four routes.
+    """
+    return Fraction(sum(A.fixer_count[x] for x in H.members), H.size * A.size)
 
 
 def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
@@ -56,11 +53,11 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
 
     Both decompose the fixed-pair set: once by the element, summing the
     size of each element's stabilizer in A, and once by the automorphism,
-    summing the size of each automorphism's fixed subgroup of H.
+    counting the points of H each automorphism fixes.
     """
     denom = H.size * A.size
     stab_total = sum(stabilizer(A, x).size for x in H.members)
-    fixed_total = sum(fixed_subgroup(H, a).size for a in A.members)
+    fixed_total = sum(1 for a in A.members for x in H.members if a.image[x] == x)
     return Fraction(stab_total, denom), Fraction(fixed_total, denom)
 
 
@@ -392,11 +389,13 @@ class EqualityReport:
         return self.divisibility_holds and self.structure_holds
 
 
-def classify_equality_pq(H: SubgroupSet, A: AutGroup) -> Optional[EqualityReport]:
-    """When Pr = (p + q - 1)/(pq): check pq | |H||A| and H/L cyclic of order q.
+def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[EqualityReport]:
+    """When Pr = (q^k + p - 1)/(p q^k): check pq | |H||A| and H/L = C(q)^k.
 
-    Returns None when the instance does not attain the bound (including the
-    degenerate cases where the bound does not apply).
+    k = 1 is the pq bound and k = 2 the pq^2 bound; only k = 2 can reach the
+    5/8 special case, since k = 1 gives 3/4 at p = q = 2. Returns None when
+    the instance does not attain the bound (including the degenerate cases
+    where the bound does not apply).
     """
     core = autocentre(H, A)
     if A.size == 1 or core.size == H.size:
@@ -404,19 +403,30 @@ def classify_equality_pq(H: SubgroupSet, A: AutGroup) -> Optional[EqualityReport
     p = smallest_prime_divisor(A.size)
     q = smallest_prime_divisor(H.size)
     pr = pr_definition(H, A)
-    if pr != Fraction(p + q - 1, p * q):
+    if pr != Fraction(q**k + p - 1, p * q**k):
         return None
     quot = quotient_group(H.parent, H, core)
+    expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
     return EqualityReport(
-        name="equality_pq",
+        name=name,
         p=p,
         q=q,
         pr=pr,
         divisibility_holds=(H.size * A.size) % (p * q) == 0,
         quotient_order=quot.group.order,
-        structure_holds=find_isomorphism(quot.group, cyclic(q)) is not None,
-        expected_structure=f"C({q})",
+        structure_holds=find_isomorphism(quot.group, expected) is not None,
+        expected_structure="×".join([f"C({q})"] * k),
+        special_case_5_8=(p == 2 and q == 2 and pr == Fraction(5, 8)),
     )
+
+
+def classify_equality_pq(H: SubgroupSet, A: AutGroup) -> Optional[EqualityReport]:
+    """When Pr = (p + q - 1)/(pq): check pq | |H||A| and H/L cyclic of order q.
+
+    Returns None when the instance does not attain the bound (including the
+    degenerate cases where the bound does not apply).
+    """
+    return _classify_sharp(H, A, "equality_pq", 1)
 
 
 def classify_equality_pq2(H: SubgroupSet, A: AutGroup) -> Optional[EqualityReport]:
@@ -427,27 +437,7 @@ def classify_equality_pq2(H: SubgroupSet, A: AutGroup) -> Optional[EqualityRepor
     """
     if H.is_abelian():
         return None
-    core = autocentre(H, A)
-    if A.size == 1 or core.size == H.size:
-        return None
-    p = smallest_prime_divisor(A.size)
-    q = smallest_prime_divisor(H.size)
-    pr = pr_definition(H, A)
-    if pr != Fraction(q * q + p - 1, p * q * q):
-        return None
-    quot = quotient_group(H.parent, H, core)
-    expected = direct_product(cyclic(q), cyclic(q))
-    return EqualityReport(
-        name="equality_pq2",
-        p=p,
-        q=q,
-        pr=pr,
-        divisibility_holds=(H.size * A.size) % (p * q) == 0,
-        quotient_order=quot.group.order,
-        structure_holds=find_isomorphism(quot.group, expected) is not None,
-        expected_structure=f"C({q})×C({q})",
-        special_case_5_8=(p == 2 and q == 2 and pr == Fraction(5, 8)),
-    )
+    return _classify_sharp(H, A, "equality_pq2", 2)
 
 
 def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
@@ -471,16 +461,11 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     pr = pr_definition(H, A)
     checks = [_check("converse_degree", pr, predicted, "equal", p=p, q=q)]
     quot = quotient_group(H.parent, H, core)
-    if find_isomorphism(quot.group, cyclic(q)) is not None:
-        checks.append(
-            _check("converse_cyclic_quotient", pr, Fraction(p + q - 1, p * q),
-                   "equal", p=p, q=q)
-        )
-    elif find_isomorphism(quot.group, direct_product(cyclic(q), cyclic(q))) is not None:
-        checks.append(
-            _check("converse_bicyclic_quotient", pr,
-                   Fraction(q * q + p - 1, p * q * q), "equal", p=p, q=q)
-        )
+    for k, name in ((1, "converse_cyclic_quotient"), (2, "converse_bicyclic_quotient")):
+        expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
+        if find_isomorphism(quot.group, expected) is not None:
+            checks.append(_check(name, pr, Fraction(q**k + p - 1, p * q**k), "equal", p=p, q=q))
+            break
     return checks
 
 
@@ -535,7 +520,7 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     family_bound = Fraction(1, ksub.size) * (1 + Fraction(ksub.size - 1, index))
 
     a_flag = pr_definition(H, A) == family_bound
-    orbs = {x: orbit(A, x) for x in outside}
+    orbs = A.orbit_of
     b_flag = all(orbs[x].size == ksub.size for x in outside)
     c_flag = (
         all(

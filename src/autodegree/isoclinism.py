@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import automorphisms as am
 from .automorphisms import AutGroup, Automorphism
-from .degree import BoundCheck, pr_definition
+from .degree import BoundCheck, _check, pr_definition
 from .groups import (
     GroupError,
     GroupHom,
@@ -289,14 +289,9 @@ def check_equal_degree(
     ok, why = verify_witness(P1, P2, witness)
     if not ok:
         raise PreconditionError(f"witness does not verify: {why}")
-    d1 = pr_definition(P1.subgroup, P1.auts)
-    d2 = pr_definition(P2.subgroup, P2.auts)
-    return BoundCheck(
-        name="isoclinic_equal_degree",
-        value=d1,
-        bound=d2,
-        direction="equal",
-        holds=d1 == d2,
-        is_equality=d1 == d2,
-        hypothesis_met=True,
+    return _check(
+        "isoclinic_equal_degree",
+        pr_definition(P1.subgroup, P1.auts),
+        pr_definition(P2.subgroup, P2.auts),
+        "equal",
     )

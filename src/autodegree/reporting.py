@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .automorphisms import AutGroup
 from .degree import BoundCheck, DegreeReport, EqualityReport, EquivalenceReport
 
 
@@ -71,16 +70,15 @@ def render_degree_kv(report: DegreeReport, prefix: str = "report") -> list[str]:
     return lines
 
 
-def render_degree_human(report: DegreeReport, auts: Optional[AutGroup] = None) -> list[str]:
+def render_degree_human(report: DegreeReport, cycles: Optional[list[str]] = None) -> list[str]:
+    """The report as text; ``cycles`` lists the automorphisms in cycle notation."""
     lines = [
         f"group: {report.group}",
         f"subgroup: [{format_members(report.subgroup)}] (order {report.size_h})",
         f"automorphism group order: {report.size_aut}",
     ]
-    if auts is not None:
-        lines.append(
-            "automorphisms: " + ", ".join(a.cycle_notation() for a in auts.members)
-        )
+    if cycles is not None:
+        lines.append("automorphisms: " + ", ".join(cycles))
     lines += [
         f"Pr by definition:         {report.pr_definition} (~{approx(report.pr_definition)})",
         f"Pr by stabilizer sum:     {report.pr_stab_sum}",

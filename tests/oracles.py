@@ -119,3 +119,14 @@ def brute_autocommutators(table, h_members, auts) -> tuple[int, ...]:
         for a in auts:
             out.add(table[xi][a[x]])
     return tuple(sorted(out))
+
+
+def brute_autocentre(h_members, auts) -> tuple[int, ...]:
+    """Members of H that every automorphism fixes."""
+    return tuple(x for x in h_members if all(a[x] == x for a in auts))
+
+
+def brute_only_identity_fixes(h_members, auts) -> tuple[int, ...]:
+    """Members of H that no automorphism except the identity fixes (the literal definition)."""
+    moving = [a for a in auts if any(a[x] != x for x in range(len(a)))]
+    return tuple(x for x in h_members if all(a[x] != x for a in moving))

@@ -1,0 +1,165 @@
+"""The automorphism action table against brute definitions, and its invariants.
+
+``AutGroup.orbit_of`` and ``AutGroup.fixer_count`` are built once per group
+and read by every orbit, autocentre, autocommutator and degree. These tests
+compare what they feed against definitions computed straight from the
+image arrays in ``oracles``, check that corrupting either table breaks
+formula agreement (so no degree formula is derived from another), and
+check that relabeling the elements leaves every invariant unchanged.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from autodegree.automorphisms import (
+    ActionOrbit,
+    AutGroup,
+    autocentre,
+    autocommutator_set,
+    compute_aut,
+    compute_inn,
+    fixed_subgroup,
+    orbit,
+    orbits_on_subgroup,
+    trivial_stabilizer_set,
+)
+from autodegree.catalog import catalog_build
+from autodegree.degree import degree_report, pr_definition
+from autodegree.groups import GroupTable, enumerate_subgroups, whole_subgroup
+from autodegree.scan import DEFAULT_CATALOG_NAMES
+
+
+def assert_action_matches_brute(g, A, subgroups):
+    table = g.table
+    auts = [a.image for a in A.members]
+    orbits = {x: oracles.brute_orbit(table, auts, x) for x in g.elements()}
+    for x in g.elements():
+        assert orbit(A, x) == ActionOrbit(orbits[x][0], orbits[x])
+    for h in subgroups:
+        hm = h.members
+        distinct = sorted({orbits[x] for x in hm})
+        assert [o.members for o in orbits_on_subgroup(A, h)] == distinct
+        assert autocentre(h, A).members == oracles.brute_autocentre(hm, auts)
+        # With A trivial the literal set is all of H; the program returns it empty
+        # so that it stays disjoint from the autocentre.
+        only_identity = oracles.brute_only_identity_fixes(hm, auts) if len(auts) > 1 else ()
+        assert trivial_stabilizer_set(h, A) == only_identity
+        assert autocommutator_set(h, A) == oracles.brute_autocommutators(table, hm, auts)
+        assert pr_definition(h, A) == oracles.brute_pr(table, hm, auts)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG_NAMES)
+def test_action_table_matches_brute_definitions(name):
+    g = catalog_build(name)
+    subgroups = enumerate_subgroups(g)
+    for A in (compute_aut(g), compute_inn(g)):
+        assert_action_matches_brute(g, A, subgroups)
+
+
+def test_action_table_matches_brute_definitions_past_the_default_cap():
+    g = catalog_build("C(2)×C(2)×D(4)")
+    subgroups = enumerate_subgroups(g, cap=32)
+    for A in (compute_aut(g, cap=32), compute_inn(g)):
+        assert_action_matches_brute(g, A, subgroups)
+
+
+def test_tables_tally_images_on_member_sets_that_are_not_groups():
+    # Off a group, orbit-stabilizer fails: for {id, (1 2), (1 2 3)} acting on the
+    # involutions 1, 2, 3 of C(2)xC(2), element 3 has two fixers but |A| / |orbit| = 3/2.
+    # Each table must still be a tally of the images, not derived from the other.
+    g = catalog_build("C(2)×C(2)")
+    full = compute_aut(g)
+    for r in range(1, full.size + 1):
+        for subset in itertools.combinations(full.members, r):
+            A = AutGroup(g, subset)
+            auts = [a.image for a in subset]
+            for x in g.elements():
+                assert A.orbit_of[x].members == oracles.brute_orbit(g.table, auts, x)
+                assert A.fixer_count[x] == oracles.brute_fixed_pairs(g.table, (x,), auts)
+
+
+def corrupted_report(field, corrupt):
+    """degree_report of D(4) as a whole after ``corrupt`` rewrites one table of its Aut."""
+    g = catalog_build("D(4)")
+    A = compute_aut(g)
+    h = whole_subgroup(g)
+    honest = degree_report(h, A)
+    assert honest.formulas_agree()
+    A = compute_aut(g)
+    vars(A)[field] = corrupt(getattr(A, field))
+    return honest, degree_report(h, A)
+
+
+def test_corrupt_orbit_entry_breaks_formula_agreement():
+    # The rotation r = 1 of D(4) has orbit {r, r^3}; add r^2 to it.
+    def corrupt(orbits):
+        assert orbits[1].members == (1, 3)
+        return orbits[:1] + (ActionOrbit(1, (1, 2, 3)),) + orbits[2:]
+
+    honest, report = corrupted_report("orbit_of", corrupt)
+    assert not report.formulas_agree()
+    assert report.pr_orbit != honest.pr_orbit
+    assert (report.pr_definition, report.pr_stab_sum, report.pr_fixed_sum) == (
+        honest.pr_definition, honest.pr_stab_sum, honest.pr_fixed_sum
+    )
+
+
+def test_corrupt_fixer_count_entry_breaks_formula_agreement():
+    def corrupt(counts):
+        return counts[:1] + (counts[1] + 1,) + counts[2:]
+
+    honest, report = corrupted_report("fixer_count", corrupt)
+    assert not report.formulas_agree()
+    assert report.pr_definition != honest.pr_definition
+    assert (report.pr_stab_sum, report.pr_fixed_sum, report.pr_orbit) == (
+        honest.pr_stab_sum, honest.pr_fixed_sum, honest.pr_orbit
+    )
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG_NAMES)
+def test_fixed_points_inside_every_subgroup_form_a_subgroup(name):
+    g = catalog_build(name)
+    A = compute_aut(g)
+    for h in enumerate_subgroups(g):
+        for a in A.members:
+            fixed = fixed_subgroup(h, a)
+            assert fixed.members == tuple(x for x in h.members if a.image[x] == x)
+
+
+def relabeled(g, perm):
+    """g with element x renamed perm[x]; perm fixes 0, so the identity stays at 0."""
+    n = g.order
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return GroupTable(tuple(tuple(r) for r in rows), name=g.name)
+
+
+def invariants(g):
+    A = compute_aut(g)
+    subgroups = enumerate_subgroups(g)
+    reports = [degree_report(h, A) for h in subgroups]
+    return (
+        A.size,
+        Counter(o.size for o in orbits_on_subgroup(A, whole_subgroup(g))),
+        Counter(h.size for h in subgroups),
+        Counter(
+            (r.size_h, r.pr_definition, r.size_autocentre, r.size_trivial_stabilizer,
+             r.size_commutator_set, r.size_commutator_subgroup)
+            for r in reports
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_relabeling_elements_changes_no_invariant(data):
+    g = catalog_build(data.draw(st.sampled_from(DEFAULT_CATALOG_NAMES)))
+    perm = (0,) + tuple(data.draw(st.permutations(range(1, g.order))))
+    assert invariants(relabeled(g, perm)) == invariants(g)

@@ -107,11 +107,6 @@ class TestComputeAut:
     def test_c2_c2_d4_past_the_default_cap(self):
         assert compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32).size == 3072
 
-    def test_non_identity_members(self):
-        _, a = aut_of("D(4)")
-        assert a.non_identity == a.members[1:]
-        assert not any(m.is_identity() for m in a.non_identity)
-
     def test_abstract_group_composition_consistent(self):
         _, a = aut_of("C(5)")
         t = a.abstract_group

@@ -3,7 +3,8 @@
 ``golden/digests.json`` holds the sha256 of the stdout and the exit code of
 each command. Its ``commands`` run in a fresh interpreter and its
 ``in_process`` cases through ``cli.main`` with stdout captured, which keeps
-the many small cases cheap. A change that alters any of these bytes must
+the many small cases cheap. The ``in_process`` cases cover both the kv and
+the human output format. A change that alters any of these bytes must
 re-record the digest and say why.
 """
 
@@ -25,6 +26,12 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
 
 
+def case_id(case):
+    """The first three arguments, and "human" for a case run without --format."""
+    argv = case["argv"]
+    return " ".join(argv[:3]) + ("" if "--format" in argv else " human")
+
+
 def run_cli(argv, timeout):
     """``python -m autodegree *argv`` in a fresh interpreter: (exit code, stdout bytes)."""
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
@@ -36,7 +43,7 @@ def run_cli(argv, timeout):
     return done.returncode, done.stdout
 
 
-@pytest.mark.parametrize("case", GOLDEN["commands"], ids=lambda c: " ".join(c["argv"][:3]))
+@pytest.mark.parametrize("case", GOLDEN["commands"], ids=case_id)
 def test_cli_output_matches_golden_digest(case):
     code, out = run_cli(case["argv"], timeout=120)
     assert code == case["exit"]
@@ -49,7 +56,7 @@ def test_cli_output_matches_golden_digest(case):
     assert hashlib.sha256(out).hexdigest() == case["sha256"]
 
 
-@pytest.mark.parametrize("case", GOLDEN["in_process"], ids=lambda c: " ".join(c["argv"][:3]))
+@pytest.mark.parametrize("case", GOLDEN["in_process"], ids=case_id)
 def test_cli_main_matches_golden_digest(case):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
