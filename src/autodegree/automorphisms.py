@@ -104,16 +104,6 @@ class AutGroup:
     def __iter__(self):
         return iter(self.members)
 
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {a.image: i for i, a in enumerate(self.members)}
-
-    def index_of(self, alpha: Automorphism) -> int:
-        try:
-            return self._positions[alpha.image]
-        except KeyError:
-            raise ParentMismatchError("automorphism is not a member of this group") from None
-
     def identity(self) -> Automorphism:
         return self.members[0]
 
@@ -148,7 +138,8 @@ class AutGroup:
         """This set as an abstract group under composition.
 
         Index i of the abstract group is members[i] (:func:`permutation_table`);
-        the identity lands at index 0 by the ordering argument above.
+        the identity lands at index 0 by the ordering argument above. Only the
+        autoisoclinism witness search reads this |A|^2-entry table.
         """
         table = permutation_table([a.image for a in self.members])
         if any(table.table[0][j] != j for j in range(len(self.members))):

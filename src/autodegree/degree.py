@@ -24,15 +24,16 @@ from .automorphisms import (
 from .catalog import cyclic, smallest_prime_divisor
 from .groups import (
     GroupError,
+    GroupTable,
+    InvariantError,
     PreconditionError,
     SubgroupSet,
     direct_product,
     find_isomorphism,
-    is_normal,
+    permutation_table,
     quotient_group,
     subgroup_as_group,
     subgroup_closure,
-    whole_subgroup,
 )
 
 
@@ -493,6 +494,19 @@ class EquivalenceReport:
         return len(set(self.flags())) == 1
 
 
+def _induced_on_orbit(A: AutGroup, x: int) -> Optional[GroupTable]:
+    """The group A induces on orbit(x) if Stab(x) is normal in A, else None."""
+    points = sorted({a.image[x] for a in A.members})
+    if any(a.image[y] != y for a in A.members if a.image[x] == x for y in points):
+        return None
+    pos = {y: i for i, y in enumerate(points)}
+    # The identity restriction is the least, so it lands at index 0.
+    induced = sorted({tuple(pos[a.image[y]] for y in points) for a in A.members})
+    if len(induced) != len(points):
+        raise InvariantError(f"{len(induced)} induced permutations on an orbit of {len(points)}")
+    return permutation_table(induced)
+
+
 def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     """Evaluate all five conditions independently and report them.
 
@@ -502,6 +516,15 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     (d) each stabilizer outside L is normal in A with quotient isomorphic
         to [H, A];
     (e) the autocommutators of each single x outside L already fill [H, A].
+
+    (d) is read from the action on each orbit, one orbit at a time, from
+    the members rather than ``A.orbit_of``, so it shares no route with (b)
+    and (c). Stab(alpha(x)) = alpha Stab(x) alpha^-1, so Stab(x) is normal
+    exactly when every automorphism fixing x fixes all of orbit(x); it is
+    then the kernel of the action on orbit(x), and A/Stab(x) is the group
+    A induces there. That group is transitive and its point stabilizers,
+    the images of Stab(y) = Stab(x), are trivial: it acts regularly, with
+    |orbit(x)| elements, and points of one orbit give the same quotient.
 
     (a), (b) and (e) are equivalent for every H, since orbit(x) lies in
     x [H, A]. All five are equivalent when [H, A] <= H, that is, when every
@@ -529,25 +552,10 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
         )
         and kset <= core.member_set
     )
-    aut_table = A.abstract_group
-    whole_aut = whole_subgroup(aut_table)
     k_group, _ = subgroup_as_group(g, ksub)
-    d_flag = True
-    checked: set[tuple[int, ...]] = set()
-    for x in outside:
-        stab = stabilizer(A, x)
-        stab_index = tuple(A.index_of(a) for a in stab.members)
-        if stab_index in checked:
-            continue
-        checked.add(stab_index)
-        stab_sub = SubgroupSet(aut_table, stab_index)
-        if not is_normal(aut_table, stab_sub, whole_aut):
-            d_flag = False
-            break
-        quot = quotient_group(aut_table, whole_aut, stab_sub)
-        if find_isomorphism(quot.group, k_group) is None:
-            d_flag = False
-            break
+    reps = sorted({min(a.image[x] for a in A.members) for x in outside})
+    quotients = (_induced_on_orbit(A, r) for r in reps)
+    d_flag = all(q is not None and find_isomorphism(q, k_group) is not None for q in quotients)
     e_flag = all(
         {t[invs[x]][a.image[x]] for a in A.members} == kset for x in outside
     )

@@ -349,11 +349,11 @@ def enumerate_subgroups(G: GroupTable, cap: int = 24) -> list[SubgroupSet]:
     """All subgroups of G, each exactly once, sorted by (order, members).
 
     Works by cyclic extension: start from the trivial subgroup and
-    repeatedly extend each known subgroup by a single new generator,
-    deduplicating by member tuple. Each subgroup keeps the generators that
-    produced it, and an extension closes those plus the new element rather
-    than every member, so a closure costs O(|K| log |G|) lookups.
-    Exhaustive, hence the order cap.
+    repeatedly extend each known subgroup by a single new generator; only a
+    member tuple not seen before becomes a (validated) SubgroupSet. Each
+    subgroup keeps the generators that produced it, and an extension closes
+    those plus the new element rather than every member, so a closure costs
+    O(|K| log |G|) lookups. Exhaustive, hence the order cap.
     """
     if G.order > cap:
         raise SizeCapError(
@@ -370,10 +370,10 @@ def enumerate_subgroups(G: GroupTable, cap: int = 24) -> list[SubgroupSet]:
                 if g in hset:
                     continue
                 seed = gens + (g,)
-                k = subgroup_closure(G, seed)
-                if k.members not in found:
-                    found[k.members] = k
-                    nxt.append((k, seed))
+                members = tuple(sorted(_closure_members(G, seed)))
+                if members not in found:
+                    found[members] = SubgroupSet(G, members)
+                    nxt.append((found[members], seed))
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 

@@ -2,6 +2,8 @@
 
 Everything here favors the most direct computation over speed, and shares
 no code with the package under test beyond reading plain Cayley tables.
+The one exception is :func:`brute_condition_d`, which keeps an older route
+of the package itself as the reference for a newer one.
 """
 
 from __future__ import annotations
@@ -130,3 +132,46 @@ def brute_only_identity_fixes(h_members, auts) -> tuple[int, ...]:
     """Members of H that no automorphism except the identity fixes (the literal definition)."""
     moving = [a for a in auts if any(a[x] != x for x in range(len(a)))]
     return tuple(x for x in h_members if all(a[x] != x for a in moving))
+
+
+def brute_condition_d(h_members, aut_group) -> bool:
+    """Condition (d) of ``equivalent_conditions`` by the abstract-table route.
+
+    This is how the package decided (d) before it read the orbit action:
+    Aut as an |A| x |A| table, each distinct stabilizer of a member of H
+    outside the autocentre tested for normality in that table, and its
+    quotient compared with [H, A] by an isomorphism search. It calls the
+    package's table, normality, quotient and isomorphism code, none of
+    which the orbit route uses; L and [H, A] come from the brute
+    definitions above.
+    """
+    from autodegree.groups import (
+        SubgroupSet,
+        find_isomorphism,
+        is_normal,
+        quotient_group,
+        subgroup_as_group,
+        subgroup_closure,
+        whole_subgroup,
+    )
+
+    g = aut_group.parent
+    auts = [a.image for a in aut_group.members]
+    core = set(brute_autocentre(h_members, auts))
+    k_members = brute_closure(g.table, brute_autocommutators(g.table, h_members, auts))
+    k_group, _ = subgroup_as_group(g, subgroup_closure(g, k_members))
+    aut_table = aut_group.abstract_group
+    whole_aut = whole_subgroup(aut_table)
+    checked = set()
+    for x in h_members:
+        stab = tuple(i for i, a in enumerate(auts) if a[x] == x)
+        if x in core or stab in checked:
+            continue
+        checked.add(stab)
+        stab_sub = SubgroupSet(aut_table, stab)
+        if not is_normal(aut_table, stab_sub, whole_aut):
+            return False
+        quot = quotient_group(aut_table, whole_aut, stab_sub)
+        if find_isomorphism(quot.group, k_group) is None:
+            return False
+    return True

@@ -5,7 +5,8 @@ and read by every orbit, autocentre, autocommutator and degree. These tests
 compare what they feed against definitions computed straight from the
 image arrays in ``oracles``, check that corrupting either table breaks
 formula agreement (so no degree formula is derived from another), and
-check that relabeling the elements leaves every invariant unchanged.
+check that relabeling the elements leaves every invariant unchanged,
+the five equivalence flags included.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from autodegree.automorphisms import (
     trivial_stabilizer_set,
 )
 from autodegree.catalog import catalog_build
-from autodegree.degree import degree_report, pr_definition
+from autodegree.degree import HypothesisError, degree_report, equivalent_conditions, pr_definition
 from autodegree.groups import GroupTable, enumerate_subgroups, whole_subgroup
 from autodegree.scan import DEFAULT_CATALOG_NAMES
 
@@ -141,18 +142,26 @@ def relabeled(g, perm):
     return GroupTable(tuple(tuple(r) for r in rows), name=g.name)
 
 
+def equivalence_flags(h, A):
+    """The five equivalence flags of (H, A), or None where they do not apply."""
+    try:
+        return equivalent_conditions(h, A).flags()
+    except HypothesisError:
+        return None
+
+
 def invariants(g):
     A = compute_aut(g)
     subgroups = enumerate_subgroups(g)
-    reports = [degree_report(h, A) for h in subgroups]
+    reports = [(degree_report(h, A), equivalence_flags(h, A)) for h in subgroups]
     return (
         A.size,
         Counter(o.size for o in orbits_on_subgroup(A, whole_subgroup(g))),
         Counter(h.size for h in subgroups),
         Counter(
             (r.size_h, r.pr_definition, r.size_autocentre, r.size_trivial_stabilizer,
-             r.size_commutator_set, r.size_commutator_subgroup)
-            for r in reports
+             r.size_commutator_set, r.size_commutator_subgroup, flags)
+            for r, flags in reports
         ),
     )
 

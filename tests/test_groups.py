@@ -275,6 +275,21 @@ class TestSubgroups:
         with pytest.raises(SizeCapError):
             enumerate_subgroups(catalog_build("C(16)"), cap=8)
 
+    @pytest.mark.parametrize("name", ["D(4)", "S(4)", "C(2)×C(2)×C(2)", "C(2)×C(2)×A(4)"])
+    def test_enumeration_builds_each_subgroup_once(self, name, monkeypatch):
+        # Extensions that close to a subgroup already found build no SubgroupSet.
+        g = catalog_build(name)
+        built = []
+        validate = SubgroupSet.__post_init__
+
+        def counting(self):
+            built.append(self.members)
+            validate(self)
+
+        monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+        subs = enumerate_subgroups(g, cap=48)
+        assert sorted(built) == sorted(s.members for s in subs)
+
     def test_subgroup_rejects_nonclosed(self):
         with pytest.raises(AxiomError):
             SubgroupSet(cyclic(4), (0, 1))
