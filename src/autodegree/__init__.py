@@ -79,9 +79,9 @@ from .groups import (
 from .isoclinism import (
     IsoclinismWitness,
     PairedGroups,
-    PairingUndefinedError,
     autocommutator_pairing,
     check_equal_degree,
+    decide_autoisoclinism,
     find_autoisoclinism,
     invert_witness,
     make_pair,

@@ -16,13 +16,7 @@ from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build
 from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, subgroup_closure, whole_subgroup
-from .isoclinism import (
-    PairingUndefinedError,
-    check_equal_degree,
-    find_autoisoclinism,
-    make_pair,
-    verify_witness,
-)
+from .isoclinism import decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
 
@@ -38,11 +32,11 @@ def load_group(spec: str) -> GroupTable:
     return catalog_build(spec)
 
 
-def select_subgroups(g: GroupTable, spec: str, group_cap: int = 24) -> list[SubgroupSet]:
+def select_subgroups(g: GroupTable, spec: str) -> list[SubgroupSet]:
     if spec == "whole":
         return [whole_subgroup(g)]
     if spec == "all":
-        return enumerate_subgroups(g, cap=group_cap)
+        return enumerate_subgroups(g)
     if spec.startswith("gens="):
         body = spec[len("gens="):]
         try:
@@ -136,41 +130,30 @@ def cmd_isoclinic(args) -> int:
         lines.append(f"pair 1: {p1.label()}")
         lines.append(f"pair 2: {p2.label()}")
     exit_code = 0
-    try:
-        witness = find_autoisoclinism(
-            p1, p2, aut_cap=args.aut_cap, quotient_cap=args.witness_cap
-        )
-    except PairingUndefinedError as exc:
-        lines.append(
-            kv_line("isoclinic.status", "pairing-ill-defined") if kv
-            else f"status: pairing ill-defined ({exc})"
-        )
-        print("\n".join(lines))
-        return 0
+    witness, why, check = decide_autoisoclinism(
+        p1, p2, aut_cap=args.aut_cap, quotient_cap=args.witness_cap
+    )
     if witness is None:
         lines.append(kv_line("isoclinic.status", "no-witness") if kv else "status: no witness")
+    elif check is None:
+        lines.append(
+            kv_line("isoclinic.status", f"invalid-witness:{why}") if kv
+            else f"status: INVALID witness ({why})"
+        )
+        exit_code = 1
     else:
-        ok, why = verify_witness(p1, p2, witness)
-        if not ok:
-            lines.append(
-                kv_line("isoclinic.status", f"invalid-witness:{why}") if kv
-                else f"status: INVALID witness ({why})"
-            )
-            exit_code = 1
+        status = "witness" if check.holds else "witness-degree-mismatch"
+        if kv:
+            lines.append(kv_line("isoclinic.status", status))
+            lines.extend(_render_witness_kv(witness))
+            lines.append(kv_line("isoclinic.degree1", check.value))
+            lines.append(kv_line("isoclinic.degree2", check.bound))
         else:
-            check = check_equal_degree(p1, p2, witness)
-            status = "witness" if check.holds else "witness-degree-mismatch"
-            if kv:
-                lines.append(kv_line("isoclinic.status", status))
-                lines.extend(_render_witness_kv(witness))
-                lines.append(kv_line("isoclinic.degree1", check.value))
-                lines.append(kv_line("isoclinic.degree2", check.bound))
-            else:
-                lines.append("status: witness found and verified")
-                lines.extend(_render_witness_human(witness))
-                lines.append(f"degrees: {check.value} = {check.bound}")
-            if not check.holds:
-                exit_code = 1
+            lines.append("status: witness found and verified")
+            lines.extend(_render_witness_human(witness))
+            lines.append(f"degrees: {check.value} = {check.bound}")
+        if not check.holds:
+            exit_code = 1
     print("\n".join(lines))
     return exit_code
 

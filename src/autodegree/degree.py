@@ -211,17 +211,19 @@ def _check(
     )
 
 
-def _standing_assumptions(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
+def _standing_assumptions(H: SubgroupSet, A: AutGroup) -> tuple[SubgroupSet, int, int]:
     """The bounds assume a nontrivial action: H != L and |A| > 1.
 
-    Returns the autocentre so callers do not recompute it.
+    Otherwise the degree is 1 and :class:`HypothesisError` is raised. Returns
+    the autocentre L, p (the smallest prime dividing |A|) and q (the
+    smallest prime dividing |H|), so callers do not recompute them.
     """
     core = autocentre(H, A)
     if A.size == 1:
         raise HypothesisError("the automorphism group is trivial, so the degree is 1")
     if core.size == H.size:
         raise HypothesisError("H equals its autocentre, so the degree is 1")
-    return core
+    return core, smallest_prime_divisor(A.size), smallest_prime_divisor(H.size)
 
 
 def check_monotonicity(H: SubgroupSet, K: SubgroupSet, A: AutGroup) -> BoundCheck:
@@ -250,8 +252,7 @@ def bound_upper_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     |A|/p, which gives
     Pr <= ((p-1)|L| + |H|) / (p|H|) - |X| (|A| - p) / (p |H| |A|).
     """
-    core = _standing_assumptions(H, A)
-    p = smallest_prime_divisor(A.size)
+    core, p, _ = _standing_assumptions(H, A)
     x = len(trivial_stabilizer_set(H, A))
     bound = Fraction((p - 1) * core.size + H.size, p * H.size) - Fraction(
         x * (A.size - p), p * H.size * A.size
@@ -261,9 +262,7 @@ def bound_upper_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
 
 def bound_upper_pq(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     """Pr <= (p + q - 1)/(pq), and the 3/4 cap whenever q >= p."""
-    _standing_assumptions(H, A)
-    p = smallest_prime_divisor(A.size)
-    q = smallest_prime_divisor(H.size)
+    _, p, q = _standing_assumptions(H, A)
     value = pr_definition(H, A)
     return [
         _check("upper_pq", value, Fraction(p + q - 1, p * q), "upper", p=p, q=q),
@@ -276,9 +275,7 @@ def bound_upper_nonabelian(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     """For non-abelian H: Pr <= (q^2 + p - 1)/(p q^2), and 5/8 when q >= p."""
     if H.is_abelian():
         raise HypothesisError("this bound applies only to non-abelian subgroups")
-    _standing_assumptions(H, A)
-    p = smallest_prime_divisor(A.size)
-    q = smallest_prime_divisor(H.size)
+    _, p, q = _standing_assumptions(H, A)
     value = pr_definition(H, A)
     return [
         _check("upper_nonabelian_pq2", value, Fraction(q * q + p - 1, p * q * q),
@@ -325,7 +322,7 @@ def bound_lower_S(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     orbit(x) = x S for every x in H outside L, which is evaluated into
     ``condition_met``.
     """
-    core = _standing_assumptions(H, A)
+    core, _, _ = _standing_assumptions(H, A)
     sset = autocommutator_set(H, A)
     s = len(sset)
     index = H.size // core.size
@@ -352,8 +349,7 @@ def bound_lower_commutator(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     stabilizer correction matters (for example the cyclic group of order 3),
     so a failure is reported as a finding rather than a violation.
     """
-    core = _standing_assumptions(H, A)
-    p = smallest_prime_divisor(A.size)
+    core, p, _ = _standing_assumptions(H, A)
     s = len(autocommutator_set(H, A))
     k = autocommutator_subgroup(H, A).size
     index = H.size // core.size
@@ -398,11 +394,10 @@ def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[
     the instance does not attain the bound (including the degenerate cases
     where the bound does not apply).
     """
-    core = autocentre(H, A)
-    if A.size == 1 or core.size == H.size:
+    try:
+        core, p, q = _standing_assumptions(H, A)
+    except HypothesisError:
         return None
-    p = smallest_prime_divisor(A.size)
-    q = smallest_prime_divisor(H.size)
     pr = pr_definition(H, A)
     if pr != Fraction(q**k + p - 1, p * q**k):
         return None
@@ -449,11 +444,10 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     Returns an empty list when the orbit-size hypothesis fails (an
     inapplicable instance, not an error).
     """
-    core = autocentre(H, A)
-    if A.size == 1 or core.size == H.size:
+    try:
+        core, p, q = _standing_assumptions(H, A)
+    except HypothesisError:
         return []
-    p = smallest_prime_divisor(A.size)
-    q = smallest_prime_divisor(H.size)
     outside = [x for x in H.members if x not in core.member_set]
     if any(orbit(A, x).size != p for x in outside):
         return []
@@ -532,7 +526,7 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     differ from the rest: for H the transposition subgroup of S(3), [H, A]
     is the alternating subgroup, and (a), (b), (e) hold while (c), (d) fail.
     """
-    core = _standing_assumptions(H, A)
+    core, _, _ = _standing_assumptions(H, A)
     g = H.parent
     t = g.table
     invs = g.inverses

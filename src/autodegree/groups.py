@@ -435,9 +435,6 @@ class GroupHom:
                 if img[s[a][b]] != t[img[a]][img[b]]:
                     raise InvariantError(f"not a homomorphism at ({a}, {b})")
 
-    def kernel(self) -> tuple[int, ...]:
-        return tuple(a for a in self.source.elements() if self.image[a] == 0)
-
     def inverse(self) -> "GroupHom":
         if not self.is_bijective():
             raise PreconditionError("only bijective homomorphisms can be inverted")
@@ -465,39 +462,19 @@ def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[
 
 @dataclass(frozen=True)
 class Quotient:
-    """A quotient H/N inside a parent group: coset table plus projection.
+    """A quotient H/N inside a parent group: its coset table and cosets.
 
     ``cosets[i]`` lists the parent indices of coset i in ascending order;
     cosets are numbered by smallest member, which puts the identity coset
-    at index 0. ``projection`` maps H (re-indexed as ``subgroup``) onto the
-    coset group.
+    N at index 0, and ``group`` multiplies cosets by their representatives.
     """
 
     group: GroupTable
     cosets: tuple[tuple[int, ...], ...]
-    subgroup: GroupTable
-    embedding: tuple[int, ...]
-    projection: GroupHom
-
-    @cached_property
-    def _coset_index(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, cs in enumerate(self.cosets):
-            for e in cs:
-                out[e] = i
-        return out
-
-    def coset_of(self, parent_index: int) -> int:
-        try:
-            return self._coset_index[parent_index]
-        except KeyError:
-            raise ParentMismatchError(
-                f"element {parent_index} is not in the quotiented subgroup"
-            ) from None
 
 
 def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
-    """Cosets of N in H as a group, with the projection homomorphism.
+    """Cosets of N in H as a group, numbered as in :class:`Quotient`.
 
     N must be a normal subgroup of H.
     """
@@ -521,10 +498,7 @@ def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
     qtable = tuple(
         tuple(index_of[t[a][b]] for b in reps) for a in reps
     )
-    qgroup = GroupTable(qtable)
-    sub, embedding = subgroup_as_group(G, H)
-    proj = GroupHom(sub, qgroup, tuple(index_of[m] for m in embedding))
-    return Quotient(qgroup, tuple(cosets), sub, embedding, proj)
+    return Quotient(GroupTable(qtable), tuple(cosets))
 
 
 def compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

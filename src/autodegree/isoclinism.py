@@ -5,7 +5,9 @@ quotients by the autocentres, gamma between the automorphism groups, beta
 between the autocommutator subgroups) make the coset autocommutator
 pairing commute. The search enumerates gamma and psi deterministically and
 derives beta from the diagram, so a returned witness commutes by
-construction and is still re-verified from scratch.
+construction. :func:`decide_autoisoclinism` is the one path from a pair of
+pairs to a verdict: it searches, re-verifies the witness from scratch
+once, and compares the degrees.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .groups import (
 )
 
 
-class PairingUndefinedError(GroupError):
-    """The coset autocommutator pairing took two values on one coset."""
-
-
 @dataclass(frozen=True)
 class PairedGroups:
     """Everything the isoclinism diagram needs about one pair (H, G).
@@ -56,7 +54,6 @@ class PairedGroups:
     commutator_group: GroupTable
     commutator_embedding: tuple[int, ...]
     pairing: tuple[tuple[int, ...], ...]
-    pairing_defect: Optional[str]
 
     @cached_property
     def commutator_position(self) -> dict[int, int]:
@@ -73,17 +70,20 @@ def make_pair(
     G: GroupTable,
     H: Optional[SubgroupSet] = None,
     auts: Optional[AutGroup] = None,
-    aut_cap: int = 24,
 ) -> PairedGroups:
     """Assemble the derived structures for one (subgroup, group) pair.
 
-    Checks the coset pairing for representative independence while
-    building it; a disagreement is recorded in ``pairing_defect`` rather
-    than raised, so callers can downgrade the pair instead of crashing.
+    ``auts`` is Aut(G), if the caller has already computed it. The coset
+    pairing is well defined for every H: Aut(G) contains every inner
+    automorphism, so the autocentre L, whose members every automorphism
+    fixes, lies in the centre of G, and for l in L, (xl)^-1 alpha(xl) =
+    l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l = x^-1 alpha(x).
+    Every coset representative is still checked while the pairing is
+    built, and a disagreement raises :class:`InvariantError`.
     """
     if H is None:
         H = whole_subgroup(G)
-    A = auts if auts is not None else am.compute_aut(G, cap=aut_cap)
+    A = auts if auts is not None else am.compute_aut(G)
     core = am.autocentre(H, A)
     ksub = am.autocommutator_subgroup(H, A)
     quot = quotient_group(G, H, core)
@@ -92,17 +92,16 @@ def make_pair(
     t = G.table
     invs = G.inverses
     rows = []
-    defect = None
     for coset in quot.cosets:
         row = []
         for a in A.members:
             img = a.image
             values = {t[invs[x]][img[x]] for x in coset}
-            if len(values) != 1 and defect is None:
-                defect = (
+            if len(values) != 1:
+                raise InvariantError(
                     f"coset {coset} maps to {sorted(values)} under {a.cycle_notation()}"
                 )
-            v = t[invs[coset[0]]][img[coset[0]]]
+            v = values.pop()
             if v not in k_pos:
                 raise InvariantError("an autocommutator left the autocommutator subgroup")
             row.append(k_pos[v])
@@ -117,7 +116,6 @@ def make_pair(
         commutator_group=k_group,
         commutator_embedding=k_embed,
         pairing=tuple(rows),
-        pairing_defect=defect,
     )
 
 
@@ -125,7 +123,8 @@ def autocommutator_pairing(P: PairedGroups, coset_index: int, alpha: Automorphis
     """The pairing value [x, alpha] for coset ``coset_index``, as a parent index.
 
     Uses the canonical (smallest) representative, after checking that every
-    representative of the coset gives the same value.
+    representative of the coset gives the same value (see :func:`make_pair`
+    for why they always do).
     """
     if not 0 <= coset_index < len(P.quotient.cosets):
         raise PreconditionError(f"no coset {coset_index} in a quotient of order {len(P.quotient.cosets)}")
@@ -135,7 +134,7 @@ def autocommutator_pairing(P: PairedGroups, coset_index: int, alpha: Automorphis
     img = alpha.image
     values = {t[invs[x]][img[x]] for x in coset}
     if len(values) != 1:
-        raise PairingUndefinedError(
+        raise InvariantError(
             f"coset {coset} maps to {sorted(values)} under {alpha.cycle_notation()}"
         )
     return t[invs[coset[0]]][img[coset[0]]]
@@ -198,8 +197,6 @@ def find_autoisoclinism(
     differ; disabling it is only useful for validating the rejections.
     """
     for P, which in ((P1, "first"), (P2, "second")):
-        if P.pairing_defect is not None:
-            raise PairingUndefinedError(f"{which} pair: {P.pairing_defect}")
         if P.auts.size > aut_cap:
             raise SizeCapError(
                 f"automorphism group of the {which} pair has order {P.auts.size}, "
@@ -282,16 +279,40 @@ def invert_witness(witness: IsoclinismWitness) -> IsoclinismWitness:
     )
 
 
-def check_equal_degree(
-    P1: PairedGroups, P2: PairedGroups, witness: IsoclinismWitness
-) -> BoundCheck:
-    """Autoisoclinic pairs must have exactly equal degrees."""
-    ok, why = verify_witness(P1, P2, witness)
-    if not ok:
-        raise PreconditionError(f"witness does not verify: {why}")
+def _equal_degree(P1: PairedGroups, P2: PairedGroups) -> BoundCheck:
     return _check(
         "isoclinic_equal_degree",
         pr_definition(P1.subgroup, P1.auts),
         pr_definition(P2.subgroup, P2.auts),
         "equal",
     )
+
+
+def check_equal_degree(
+    P1: PairedGroups, P2: PairedGroups, witness: IsoclinismWitness
+) -> BoundCheck:
+    """Autoisoclinic pairs must have exactly equal degrees.
+
+    Refuses a witness that does not verify with :class:`PreconditionError`.
+    """
+    ok, why = verify_witness(P1, P2, witness)
+    if not ok:
+        raise PreconditionError(f"witness does not verify: {why}")
+    return _equal_degree(P1, P2)
+
+
+def decide_autoisoclinism(
+    P1: PairedGroups, P2: PairedGroups, aut_cap: int = 48, quotient_cap: int = 16
+) -> tuple[Optional[IsoclinismWitness], Optional[str], Optional[BoundCheck]]:
+    """Search for a witness, verify it once, and compare the degrees.
+
+    Returns (witness, failure, degrees). The witness is None when the
+    search exhausts the space. A found witness is checked once by
+    :func:`verify_witness`; ``failure`` is its counterexample, and
+    ``degrees`` is the equal-degree check, made only when it verifies.
+    """
+    witness = find_autoisoclinism(P1, P2, aut_cap, quotient_cap)
+    if witness is None:
+        return None, None, None
+    ok, why = verify_witness(P1, P2, witness)
+    return witness, why, _equal_degree(P1, P2) if ok else None

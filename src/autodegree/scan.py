@@ -17,12 +17,7 @@ from . import degree as deg
 from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
 from .groups import GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups
-from .isoclinism import (
-    check_equal_degree,
-    find_autoisoclinism,
-    make_pair,
-    verify_witness,
-)
+from .isoclinism import decide_autoisoclinism, make_pair
 from .reporting import describe_check, describe_equality, describe_equivalence
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
@@ -202,8 +197,9 @@ class _Scan:
     def equalities(self, entry: CatalogEntry, A, subs) -> None:
         for h in subs:
             sub = _subgroup_label(h)
-            core = am.autocentre(h, A)
-            if A.size == 1 or core.size == h.size:
+            try:
+                deg._standing_assumptions(h, A)
+            except HypothesisError:
                 self.add("equalities", entry.name, sub, "equality_checks",
                          "inapplicable", detail="degree is 1")
                 continue
@@ -263,38 +259,29 @@ class _Scan:
                     f"(quotient order {pair.quotient.group.order} over cap {self.quotient_cap})"
                 )
                 continue
-            if pair.pairing_defect is not None:
-                self.report.findings.append(
-                    f"{entry.name}: pairing ill-defined ({pair.pairing_defect})"
-                )
-                continue
             pairs.append((entry, pair))
         for entry, pair in pairs:
-            w = find_autoisoclinism(pair, pair, self.aut_cap, self.quotient_cap)
+            w, why, c = decide_autoisoclinism(pair, pair, self.aut_cap, self.quotient_cap)
             if w is None:
                 self.add("isoclinism", entry.name, "whole", "reflexive_witness", "fail",
                          detail="no witness found for the pair with itself")
                 continue
-            ok, why = verify_witness(pair, pair, w)
             self.add("isoclinism", entry.name, "whole", "reflexive_witness",
-                     "pass" if ok else "fail", detail=why or "witness verified")
-            if ok:
-                c = check_equal_degree(pair, pair, w)
+                     "fail" if c is None else "pass", detail=why or "witness verified")
+            if c is not None:
                 self.add_check("isoclinism", entry.name, "whole", c)
         for i, (e1, p1) in enumerate(pairs):
             for e2, p2 in pairs[i + 1:]:
                 label = f"{e1.name}~{e2.name}"
-                w = find_autoisoclinism(p1, p2, self.aut_cap, self.quotient_cap)
+                w, why, c = decide_autoisoclinism(p1, p2, self.aut_cap, self.quotient_cap)
                 if w is None:
                     self.add("isoclinism", label, "whole", "pair_witness",
                              "inapplicable", detail="no witness")
                     continue
-                ok, why = verify_witness(p1, p2, w)
-                if not ok:
+                if c is None:
                     self.add("isoclinism", label, "whole", "pair_witness", "fail",
                              detail=why)
                     continue
-                c = check_equal_degree(p1, p2, w)
                 self.add("isoclinism", label, "whole", "pair_equal_degree",
                          "pass" if c.holds else "fail", c.value, c.bound,
                          describe_check(c))

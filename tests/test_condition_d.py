@@ -20,13 +20,20 @@ import oracles
 from autodegree.automorphisms import (
     ActionOrbit,
     AutGroup,
+    Automorphism,
     autocentre,
     autocommutator_subgroup,
     compute_aut,
+    orbit,
 )
-from autodegree.catalog import catalog_build
+from autodegree.catalog import catalog_build, cyclic
 from autodegree.degree import HypothesisError, equivalent_conditions
-from autodegree.groups import enumerate_subgroups, subgroup_closure
+from autodegree.groups import (
+    enumerate_subgroups,
+    find_isomorphism,
+    subgroup_as_group,
+    subgroup_closure,
+)
 from autodegree.scan import DEFAULT_CATALOG_NAMES, CatalogEntry, default_catalog, run_scan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +89,32 @@ def test_corrupt_orbit_entry_moves_b_and_c_but_not_d():
     assert not report.orbit_sizes_match
     assert not report.orbit_cosets_match
     assert report.stabilizer_quotients_match
+
+
+def test_isomorphism_test_alone_decides_d():
+    # A = {id, (4 6)(5 7), (1 3)(4 5)(6 7), (1 3)(4 7)(5 6)} acting on D(4),
+    # H = {0, 4}. Stab(4) is trivial, so it is normal and the group induced
+    # on orbit(4) has |orbit(4)| = |[H, A]| = 4 elements; but that group is
+    # C(2) x C(2) and [H, A] = {0, 1, 2, 3} is C(4). Only the isomorphism
+    # test makes (d) false here; comparing orders would make it true.
+    g = catalog_build("D(4)")
+    images = [
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (0, 1, 2, 3, 6, 7, 4, 5),
+        (0, 3, 2, 1, 5, 4, 7, 6),
+        (0, 3, 2, 1, 7, 6, 5, 4),
+    ]
+    A = AutGroup(g, tuple(Automorphism(g, image) for image in images))
+    A.validate()
+    h = subgroup_closure(g, {4})
+    assert h.members == (0, 4)
+    assert orbit(A, 4).members == (4, 5, 6, 7)
+    ksub = autocommutator_subgroup(h, A)
+    assert ksub.members == (0, 1, 2, 3)
+    assert find_isomorphism(subgroup_as_group(g, ksub)[0], cyclic(4)) is not None
+    report = equivalent_conditions(h, A)
+    assert report.flags() == (True, True, False, False, True)
+    assert report.stabilizer_quotients_match == oracles.brute_condition_d(h.members, A)
 
 
 def refuse_abstract_group(self):

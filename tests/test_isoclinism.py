@@ -1,14 +1,24 @@
 """Autoisoclinism: pairing, witness search, verification, equal degrees."""
 
+import contextlib
 import dataclasses
+import io
+import sys
 from fractions import Fraction
 
 import pytest
 
+from autodegree import cli, isoclinism
 from autodegree.automorphisms import compute_aut
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
-from autodegree.groups import GroupHom, SizeCapError, find_isomorphism, subgroup_closure
+from autodegree.groups import (
+    GroupHom,
+    PreconditionError,
+    SizeCapError,
+    find_isomorphism,
+    subgroup_closure,
+)
 from autodegree.isoclinism import (
     IsoclinismWitness,
     autocommutator_pairing,
@@ -38,9 +48,11 @@ class TestPairing:
             assert autocommutator_pairing(p, c, p.auts.identity()) == 0
 
     def test_well_defined_across_representatives(self):
-        # checked exhaustively at construction for the whole catalog sample
+        # make_pair checks every representative of every coset and raises
+        # InvariantError on a disagreement, so building the pair is the check.
         for name in ["C(4)", "C(6)", "S(3)", "Q8", "D(4)", "Dic(3)", "M16"]:
-            assert pair_of(name).pairing_defect is None
+            p = pair_of(name)
+            assert len(p.pairing) == len(p.quotient.cosets)
 
     def test_pairing_lands_in_commutator_subgroup(self):
         p = pair_of("Q8")
@@ -159,6 +171,13 @@ class TestWitnessSearch:
             assert not ok
             assert why.startswith(f"{label}: {defect}"), why
 
+    def test_check_equal_degree_refuses_a_bad_witness(self):
+        p = pair_of("S(3)")
+        w = find_autoisoclinism(p, p)
+        bad = dataclasses.replace(w, psi=GroupHom(w.psi.source, w.psi.target, (0,) * 6))
+        with pytest.raises(PreconditionError, match="psi: not a bijection"):
+            check_equal_degree(p, p, bad)
+
     def test_unequal_degree_pairs_find_nothing(self):
         # Pr(C4) = 3/4 but Pr(C5) = 2/5; sizes also differ, but even an
         # unrestricted search must come back empty.
@@ -201,3 +220,36 @@ class TestCaps:
         p = pair_of("C(7)")  # quotient has order 7
         with pytest.raises(SizeCapError):
             find_autoisoclinism(p, p, quotient_cap=2)
+
+
+def test_verify_checks_each_found_witness_once(monkeypatch):
+    # Wrap the search and the verifier in every package namespace that binds
+    # them, then count: each witness the search returns is verified exactly
+    # once, whatever module asks for it.
+    found, verified = [], []
+    real_find, real_verify = isoclinism.find_autoisoclinism, isoclinism.verify_witness
+
+    def find(*args, **kwargs):
+        w = real_find(*args, **kwargs)
+        if w is not None:
+            found.append(w)
+        return w
+
+    def verify(P1, P2, witness):
+        verified.append(witness)
+        return real_verify(P1, P2, witness)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "autodegree" or name.startswith("autodegree."):
+            for attr, real, wrapper in (
+                ("find_autoisoclinism", real_find, find),
+                ("verify_witness", real_verify, verify),
+            ):
+                if getattr(mod, attr, None) is real:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "all", "--max-order", "24", "--format", "kv"])
+    assert code == 1
+    assert len(found) == 36
+    assert len(verified) == len(found)
+    assert all(v is f for v, f in zip(verified, found))
