@@ -11,6 +11,7 @@ from .automorphisms import (
     ActionOrbit,
     AutGroup,
     Automorphism,
+    SubgroupAction,
     autocentre,
     autocommutator,
     autocommutator_set,

@@ -8,6 +8,7 @@ all of their time doing exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -19,6 +20,7 @@ from .groups import (
     ParentMismatchError,
     SizeCapError,
     SubgroupSet,
+    _require_same_parent,
     closure_witness,
     compose_perms,
     iter_isomorphisms,
@@ -89,6 +91,14 @@ class AutGroup:
     four degree formulas count by four routes (the fixer tally, the
     :func:`stabilizer` lists, a per-automorphism loop, the orbit table), so
     their agreement stays a check.
+
+    :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
+    holding L, S, [H, A], X and the fixer-tally degree, so each is computed
+    once per (H, A) and dropped with this group. The cross-checks must not
+    read it, and each keeps its own route: ``pr_via_sums`` (stabilizer
+    lists and a per-automorphism loop), ``pr_via_orbits`` (the orbit
+    table), ``pr_commuting`` (the table of G, the other side of the Inn
+    bridge), and equivalence (d) and (e), which read ``members``.
     """
 
     parent: GroupTable
@@ -119,6 +129,19 @@ class AutGroup:
         """How many members fix each element, counted pair by pair, not as |A| / |orbit|."""
         columns = zip(*(a.image for a in self.members))
         return tuple(c.count(x) for x, c in enumerate(columns))
+
+    @cached_property
+    def actions(self) -> dict[tuple[int, ...], "SubgroupAction"]:
+        """The per-subgroup records built so far, keyed by member tuple."""
+        return {}
+
+    def action_on(self, H: SubgroupSet) -> "SubgroupAction":
+        """The one record of (H, A); H must be a subgroup of this group's parent."""
+        _require_same_parent(self.parent, H)
+        record = self.actions.get(H.members)
+        if record is None:
+            record = self.actions[H.members] = SubgroupAction(H, self)
+        return record
 
     def validate(self) -> None:
         """Check the group axioms for this set under composition."""
@@ -248,9 +271,51 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
         ) from exc
 
 
+@dataclass(frozen=True, eq=False)
+class SubgroupAction:
+    """The structures of one (H, A), each computed on first use and then kept.
+
+    Build it through :meth:`AutGroup.action_on`, which keeps one per
+    subgroup, so every report, bound and pair reads the same values.
+    """
+
+    subgroup: SubgroupSet
+    auts: AutGroup
+
+    @cached_property
+    def autocentre(self) -> SubgroupSet:
+        H, orbits = self.subgroup, self.auts.orbit_of
+        fixed = tuple(x for x in H.members if orbits[x].size == 1)
+        # When A fixes all of H, L is H itself and needs no second validation.
+        return H if len(fixed) == H.size else SubgroupSet(H.parent, fixed)
+
+    @cached_property
+    def autocommutators(self) -> tuple[int, ...]:
+        H, orbits = self.subgroup, self.auts.orbit_of
+        t = H.parent.table
+        invs = H.parent.inverses
+        return tuple(sorted({t[invs[x]][y] for x in H.members for y in orbits[x].members}))
+
+    @cached_property
+    def commutator_subgroup(self) -> SubgroupSet:
+        return subgroup_closure(self.subgroup.parent, self.autocommutators)
+
+    @cached_property
+    def only_identity(self) -> tuple[int, ...]:
+        A = self.auts
+        if A.size == 1:
+            return ()
+        return tuple(x for x in self.subgroup.members if A.orbit_of[x].size == A.size)
+
+    @cached_property
+    def pr(self) -> Fraction:
+        H, A = self.subgroup, self.auts
+        return Fraction(sum(A.fixer_count[x] for x in H.members), H.size * A.size)
+
+
 def autocentre(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
     """Members of H fixed by every automorphism in A: orbit size 1, as A holds the identity."""
-    return SubgroupSet(H.parent, tuple(x for x in H.members if A.orbit_of[x].size == 1))
+    return A.action_on(H).autocentre
 
 
 def autocommutator_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
@@ -259,14 +324,12 @@ def autocommutator_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     As alpha runs over A, alpha(x) runs over orbit(x), so this is the union
     of x^-1 orbit(x) over x in H.
     """
-    t = H.parent.table
-    invs = H.parent.inverses
-    return tuple(sorted({t[invs[x]][y] for x in H.members for y in A.orbit_of[x].members}))
+    return A.action_on(H).autocommutators
 
 
 def autocommutator_subgroup(H: SubgroupSet, A: AutGroup) -> SubgroupSet:
     """The subgroup generated by the autocommutators of (H, A)."""
-    return subgroup_closure(H.parent, autocommutator_set(H, A))
+    return A.action_on(H).commutator_subgroup
 
 
 def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
@@ -279,9 +342,7 @@ def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     degenerate case returns the empty set (the report layer surfaces a note
     carrying the literal value).
     """
-    if A.size == 1:
-        return ()
-    return tuple(x for x in H.members if A.orbit_of[x].size == A.size)
+    return A.action_on(H).only_identity
 
 
 def conjugacy_class(G: GroupTable, x: int) -> ActionOrbit:

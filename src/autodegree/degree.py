@@ -33,7 +33,6 @@ from .groups import (
     permutation_table,
     quotient_group,
     subgroup_as_group,
-    subgroup_closure,
 )
 
 
@@ -44,9 +43,10 @@ class HypothesisError(GroupError):
 def pr_definition(H: SubgroupSet, A: AutGroup) -> Fraction:
     """Fixed-pair count over |H| |A|, from the tally ``AutGroup.fixer_count``.
 
-    No other degree formula reads that tally; :class:`AutGroup` lists the four routes.
+    Kept in the (H, A) record of :meth:`AutGroup.action_on`. No other degree
+    formula reads that tally or the record; :class:`AutGroup` lists the routes.
     """
-    return Fraction(sum(A.fixer_count[x] for x in H.members), H.size * A.size)
+    return A.action_on(H).pr
 
 
 def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
@@ -80,15 +80,7 @@ def orbit_count_ratio(H: SubgroupSet, A: AutGroup) -> Fraction:
 
 def pr_commuting(H: SubgroupSet) -> Fraction:
     """Probability that a member of H commutes with an element of the parent."""
-    g = H.parent
-    t = g.table
-    hits = 0
-    for x in H.members:
-        row = t[x]
-        for y in g.elements():
-            if row[y] == t[y][x]:
-                hits += 1
-    return Fraction(hits, H.size * g.order)
+    return Fraction(H.commuting_pairs, H.size * H.parent.order)
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ def degree_report(H: SubgroupSet, A: AutGroup) -> DegreeReport:
     """Compute every formula and structure size for one (H, A) instance."""
     core = autocentre(H, A)
     sset = autocommutator_set(H, A)
-    ksub = subgroup_closure(H.parent, sset)
+    ksub = autocommutator_subgroup(H, A)
     xset = trivial_stabilizer_set(H, A)
     orbs = orbits_on_subgroup(A, H)
     stab_sum, fixed_sum = pr_via_sums(H, A)
@@ -273,7 +265,7 @@ def bound_upper_pq(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
 
 def bound_upper_nonabelian(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     """For non-abelian H: Pr <= (q^2 + p - 1)/(p q^2), and 5/8 when q >= p."""
-    if H.is_abelian():
+    if H.is_abelian:
         raise HypothesisError("this bound applies only to non-abelian subgroups")
     _, p, q = _standing_assumptions(H, A)
     value = pr_definition(H, A)
@@ -431,7 +423,7 @@ def classify_equality_pq2(H: SubgroupSet, A: AutGroup) -> Optional[EqualityRepor
     Also flags the even-order special case: p = q = 2 with Pr = 5/8 forces
     the Klein four quotient.
     """
-    if H.is_abelian():
+    if H.is_abelian:
         return None
     return _classify_sharp(H, A, "equality_pq2", 2)
 

@@ -73,10 +73,12 @@ def make_pair(
 ) -> PairedGroups:
     """Assemble the derived structures for one (subgroup, group) pair.
 
-    ``auts`` is Aut(G), if the caller has already computed it. The coset
-    pairing is well defined for every H: Aut(G) contains every inner
-    automorphism, so the autocentre L, whose members every automorphism
-    fixes, lies in the centre of G, and for l in L, (xl)^-1 alpha(xl) =
+    ``auts`` is Aut(G), if the caller has already computed it; any
+    automorphism group containing Inn(G) will do, and one that does not
+    raises :class:`PreconditionError`. The coset pairing is well defined
+    for every H: A contains every inner automorphism, so the autocentre L,
+    whose members every automorphism fixes, lies in the centre of G (hence
+    is normal in H), and for l in L, (xl)^-1 alpha(xl) =
     l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l = x^-1 alpha(x).
     Every coset representative is still checked while the pairing is
     built, and a disagreement raises :class:`InvariantError`.
@@ -84,6 +86,13 @@ def make_pair(
     if H is None:
         H = whole_subgroup(G)
     A = auts if auts is not None else am.compute_aut(G)
+    images = {a.image for a in A.members}
+    missing = [a for a in am.compute_inn(G).members if a.image not in images]
+    if missing:
+        raise PreconditionError(
+            f"the automorphisms must contain Inn(G), as the quotient by the autocentre "
+            f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
+        )
     core = am.autocentre(H, A)
     ksub = am.autocommutator_subgroup(H, A)
     quot = quotient_group(G, H, core)

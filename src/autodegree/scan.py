@@ -148,13 +148,13 @@ class _Scan:
                 self.report.findings.append(f"{entry.name} [{sub}]: {finding}")
 
     def upper(self, entry: CatalogEntry, A, subs) -> None:
-        for h in subs:
-            sub = _subgroup_label(h)
+        labels = [_subgroup_label(h) for h in subs]
+        for h, sub in zip(subs, labels):
             self.add_check("upper", entry.name, sub, deg.pr_le_commuting(h, A))
             try:
                 checks = [deg.bound_upper_main(h, A)]
                 checks += deg.bound_upper_pq(h, A)
-                if not h.is_abelian():
+                if not h.is_abelian:
                     checks += deg.bound_upper_nonabelian(h, A)
             except HypothesisError as exc:
                 self.add("upper", entry.name, sub, "upper_bounds", "inapplicable",
@@ -162,14 +162,13 @@ class _Scan:
                 continue
             for c in checks:
                 self.add_check("upper", entry.name, sub, c)
-        for h in subs:
-            for k in subs:
+        for h, h_label in zip(subs, labels):
+            for k, k_label in zip(subs, labels):
                 if h.member_set <= k.member_set:
                     c = deg.check_monotonicity(h, k, A)
                     ok = c.holds and (c.is_equality == c.condition_met)
                     self.add(
-                        "upper", entry.name,
-                        f"{_subgroup_label(h)}<={_subgroup_label(k)}",
+                        "upper", entry.name, f"{h_label}<={k_label}",
                         "monotonicity", "pass" if ok else "fail",
                         c.value, c.bound, describe_check(c),
                     )

@@ -105,6 +105,39 @@ def brute_subgroups(table) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def brute_subgroup_lattice(table) -> list[tuple[int, ...]]:
+    """All subgroups, by joining cyclic subgroups until nothing new appears.
+
+    A subgroup is generated by its elements, so it is a join of cyclic
+    subgroups; joining every subgroup found so far with every cyclic one
+    reaches them all. Reaches past the order where filtering subsets is
+    affordable.
+    """
+    product = lambda a, b: table[a][b]
+    cyclic = {frozenset(brute_generated(0, (g,), product)) for g in range(len(table))}
+    found = set(cyclic)
+    frontier = set(cyclic)
+    while frontier:
+        new = set()
+        for h in frontier:
+            for c in cyclic:
+                if not c <= h:
+                    join = frozenset(brute_generated(0, h | c, product))
+                    if join not in found:
+                        new.add(join)
+        found |= new
+        frontier = new
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+
+
+def brute_double_cosets(table, k_members) -> set[frozenset]:
+    """The double cosets K g K of a subgroup K, each as the set {a g b : a, b in K}."""
+    return {
+        frozenset(table[table[a][g]][b] for a in k_members for b in k_members)
+        for g in range(len(table))
+    }
+
+
 def brute_closure(table, seed) -> tuple[int, ...]:
     """Generated subgroup by repeated pairwise products to a fixed point."""
     return tuple(sorted(brute_generated(0, seed, lambda a, b: table[a][b])))

@@ -1,16 +1,20 @@
 """The automorphism action table against brute definitions, and its invariants.
 
 ``AutGroup.orbit_of`` and ``AutGroup.fixer_count`` are built once per group
-and read by every orbit, autocentre, autocommutator and degree. These tests
-compare what they feed against definitions computed straight from the
-image arrays in ``oracles``, check that corrupting either table breaks
-formula agreement (so no degree formula is derived from another), and
-check that relabeling the elements leaves every invariant unchanged,
-the five equivalence flags included.
+and read by every orbit, autocentre, autocommutator and degree; the
+per-subgroup records of ``AutGroup.action_on`` keep what is derived from
+them once per (H, A). These tests compare what they feed against
+definitions computed straight from the image arrays in ``oracles``, check
+that corrupting either table or a record's degree breaks formula agreement
+(so no degree formula is derived from another), that a record refuses a
+foreign subgroup and that a scan validates few subgroups, and that
+relabeling the elements leaves every invariant unchanged, the five
+equivalence flags included.
 """
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from autodegree.automorphisms import (
     AutGroup,
     autocentre,
     autocommutator_set,
+    autocommutator_subgroup,
     compute_aut,
     compute_inn,
     fixed_subgroup,
@@ -30,9 +35,22 @@ from autodegree.automorphisms import (
     trivial_stabilizer_set,
 )
 from autodegree.catalog import catalog_build
-from autodegree.degree import HypothesisError, degree_report, equivalent_conditions, pr_definition
-from autodegree.groups import GroupTable, enumerate_subgroups, whole_subgroup
-from autodegree.scan import DEFAULT_CATALOG_NAMES
+from autodegree.degree import (
+    HypothesisError,
+    degree_report,
+    equivalent_conditions,
+    pr_commuting,
+    pr_definition,
+    pr_via_orbits,
+)
+from autodegree.groups import (
+    GroupTable,
+    ParentMismatchError,
+    SubgroupSet,
+    enumerate_subgroups,
+    whole_subgroup,
+)
+from autodegree.scan import DEFAULT_CATALOG_NAMES, CatalogEntry, run_scan
 
 
 def assert_action_matches_brute(g, A, subgroups):
@@ -120,6 +138,59 @@ def test_corrupt_fixer_count_entry_breaks_formula_agreement():
     assert (report.pr_stab_sum, report.pr_fixed_sum, report.pr_orbit) == (
         honest.pr_stab_sum, honest.pr_fixed_sum, honest.pr_orbit
     )
+
+
+def test_corrupt_memoised_degree_breaks_formula_agreement_only():
+    # The (H, A) record keeps only the fixer-tally degree; the other three
+    # formulas and both sides of the Inn bridge must not read it.
+    g = catalog_build("D(4)")
+    h = whole_subgroup(g)
+    honest = degree_report(h, compute_aut(g))
+    A, inn = compute_aut(g), compute_inn(g)
+    record = A.action_on(h)
+    vars(record)["pr"] = record.pr + Fraction(1, 8)
+    report = degree_report(h, A)
+    assert not report.formulas_agree()
+    assert report.pr_definition == honest.pr_definition + Fraction(1, 8)
+    assert (report.pr_stab_sum, report.pr_fixed_sum, report.pr_orbit) == (
+        honest.pr_stab_sum, honest.pr_fixed_sum, honest.pr_orbit
+    )
+    assert pr_commuting(h) == pr_definition(h, inn) == pr_via_orbits(h, inn)
+
+    bridge = (pr_commuting(h), pr_via_orbits(h, inn))
+    record = inn.action_on(h)
+    vars(record)["pr"] = record.pr + Fraction(1, 8)
+    assert pr_definition(h, inn) not in bridge
+    assert (pr_commuting(h), pr_via_orbits(h, inn)) == bridge
+    assert bridge[0] == bridge[1]
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [autocentre, autocommutator_set, autocommutator_subgroup, trivial_stabilizer_set, pr_definition],
+)
+def test_subgroup_of_a_foreign_group_is_refused(structure):
+    # Q8 and D(4) both have order 8, so every member index is in range.
+    A = compute_aut(catalog_build("D(4)"))
+    with pytest.raises(ParentMismatchError):
+        structure(whole_subgroup(catalog_build("Q8")), A)
+
+
+@pytest.mark.parametrize("name", ["C(2)×S(4)", "D(4)×S(3)", "C(2)×C(2)×A(4)"])
+def test_scan_builds_at_most_three_subgroup_sets_per_subgroup(name, monkeypatch):
+    # One for enumeration, then L and [H, A] once each in the (H, Aut(G)) record.
+    entry = CatalogEntry(name, catalog_build(name))
+    found = len(enumerate_subgroups(entry.group, cap=48))
+    built = []
+    validate = SubgroupSet.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        validate(self)
+
+    monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+    run_scan("all", max_order=48, catalog=(entry,), group_cap=48)
+    assert len(built) <= 3 * found
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG_NAMES)

@@ -4,7 +4,9 @@
 each command. Its ``commands`` run in a fresh interpreter and its
 ``in_process`` cases through ``cli.main`` with stdout captured, which keeps
 the many small cases cheap. The ``in_process`` cases cover both the kv and
-the human output format. A change that alters any of these bytes must
+the human output format. Its ``scans`` pin the kv rendering of a
+single-group ``run_scan`` past the CLI's order cap, where the subgroup
+lattices are deepest. A change that alters any of these bytes must
 re-record the digest and say why.
 """
 
@@ -20,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from autodegree import cli
+from autodegree import CatalogEntry, catalog_build, cli, run_scan
+from autodegree.scan import render_scan_kv
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
@@ -63,6 +66,14 @@ def test_cli_main_matches_golden_digest(case):
         code = cli.main(case["argv"])
     assert code == case["exit"]
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["scans"], ids=lambda case: case["group"])
+def test_scan_past_the_cli_cap_matches_golden_digest(case):
+    entry = CatalogEntry(case["group"], catalog_build(case["group"]))
+    report = run_scan("all", max_order=48, catalog=(entry,), group_cap=48)
+    text = "\n".join(render_scan_kv(report)) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["sha256"]
 
 
 # E(2,4) has order 16 and |Aut| = |GL(4,2)| = 20160. Certifying the closure of

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from autodegree import groups
 from autodegree.catalog import (
     CatalogNameError,
     alternating4,
@@ -270,6 +271,31 @@ class TestSubgroups:
         g = catalog_build(name)
         got = [s.members for s in enumerate_subgroups(g)]
         assert got == oracles.brute_subgroups(g.table)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["S(4)", "C(2)×C(2)×C(2)×C(3)", "Q8×C(4)", "C(2)×S(4)", "D(4)×S(3)", "C(2)×C(2)×A(4)"],
+    )
+    def test_enumeration_matches_cyclic_join_lattice_past_order_12(self, name):
+        g = catalog_build(name)
+        got = [s.members for s in enumerate_subgroups(g, cap=48)]
+        assert got == oracles.brute_subgroup_lattice(g.table)
+
+    @pytest.mark.parametrize("name", ["D(4)", "S(4)", "C(2)×S(4)"])
+    def test_enumeration_closes_once_per_double_coset(self, name, monkeypatch):
+        # Each subgroup K found is extended once per double coset K g K other than K.
+        g = catalog_build(name)
+        closures = []
+        close = groups._closure_members
+
+        def counting(G, gens):
+            closures.append(gens)
+            return close(G, gens)
+
+        monkeypatch.setattr(groups, "_closure_members", counting)
+        subs = enumerate_subgroups(g, cap=48)
+        expected = sum(len(oracles.brute_double_cosets(g.table, s.members)) - 1 for s in subs)
+        assert len(closures) == expected
 
     def test_cap_respected(self):
         with pytest.raises(SizeCapError):

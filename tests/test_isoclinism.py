@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from autodegree import cli, isoclinism
-from autodegree.automorphisms import compute_aut
+from autodegree.automorphisms import AutGroup, Automorphism, compute_aut
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
 from autodegree.groups import (
@@ -46,6 +46,16 @@ class TestPairing:
         p = pair_of("C(4)")
         for c in range(len(p.quotient.cosets)):
             assert autocommutator_pairing(p, c, p.auts.identity()) == 0
+
+    def test_automorphisms_without_inn_are_refused_up_front(self):
+        # A = {id, (2 5)(3 4)} is closed, but it misses most of Inn(S(3)); its
+        # autocentre {0, 1} is not normal, so without the check the quotient fails.
+        s3 = catalog_build("S(3)")
+        swap = Automorphism(s3, (0, 1, 5, 4, 3, 2))
+        A = AutGroup(s3, (compute_aut(s3).identity(), swap))
+        A.validate()
+        with pytest.raises(PreconditionError, match=r"Inn\(G\)"):
+            make_pair(s3, auts=A)
 
     def test_well_defined_across_representatives(self):
         # make_pair checks every representative of every coset and raises
