@@ -79,7 +79,6 @@ from .groups import (
 )
 from .isoclinism import (
     IsoclinismWitness,
-    PairedGroups,
     autocommutator_pairing,
     check_equal_degree,
     decide_autoisoclinism,

@@ -13,11 +13,13 @@ from functools import cached_property
 from typing import Optional
 
 from .groups import (
+    ORDER_CAP,
     GroupError,
     GroupHom,
     GroupTable,
     InvariantError,
     ParentMismatchError,
+    Quotient,
     SizeCapError,
     SubgroupSet,
     _require_same_parent,
@@ -25,6 +27,8 @@ from .groups import (
     compose_perms,
     iter_isomorphisms,
     permutation_table,
+    quotient_group,
+    subgroup_as_group,
     subgroup_closure,
 )
 
@@ -88,17 +92,18 @@ class AutGroup:
     The action is tabulated once per group by two separate routes:
     ``orbit_of`` from image sets, ``fixer_count`` by a pair-by-pair tally.
     As A is a group, orbit-stabilizer gives |orbit(x)| |Stab(x)| = |A|. The
-    four degree formulas count by four routes (the fixer tally, the
-    :func:`stabilizer` lists, a per-automorphism loop, the orbit table), so
-    their agreement stays a check.
+    four degree formulas count by four routes (the fixer tally, a
+    per-element count of fixers in ``members``, a per-automorphism loop,
+    the orbit table), so their agreement stays a check.
 
     :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
-    holding L, S, [H, A], X and the fixer-tally degree, so each is computed
-    once per (H, A) and dropped with this group. The cross-checks must not
-    read it, and each keeps its own route: ``pr_via_sums`` (stabilizer
-    lists and a per-automorphism loop), ``pr_via_orbits`` (the orbit
-    table), ``pr_commuting`` (the table of G, the other side of the Inn
-    bridge), and equivalence (d) and (e), which read ``members``.
+    holding L, S, [H, A], X, the fixer-tally degree, H/L and the coset
+    pairing, so each is computed once per (H, A) and dropped with this
+    group. The cross-checks must not read its orbit data, and each keeps
+    its own route: ``pr_via_sums`` (a per-element and a per-automorphism
+    loop over ``members``), ``pr_via_orbits`` (the orbit table),
+    ``pr_commuting`` (the table of G, the other side of the Inn bridge),
+    and equivalence (d) and (e), which read ``members``.
     """
 
     parent: GroupTable
@@ -177,7 +182,7 @@ def _composition_witness(
     return closure_witness(tuple(G.elements()), [a.image for a in members], compose_perms)
 
 
-def compute_aut(G: GroupTable, cap: int = 24) -> AutGroup:
+def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     """The full automorphism group, by generator-image backtracking.
 
     Candidate generator images are restricted to elements of equal order;
@@ -256,12 +261,14 @@ def pointwise_stabilizer(H: SubgroupSet, A: AutGroup) -> AutGroup:
 
 
 def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
-    """Fixed points of alpha inside H.
+    """Fixed points of alpha inside H; alpha must be an automorphism of H's parent.
 
     The fixed set of an automorphism inside a subgroup is always closed;
     closure is still verified and a violation raises rather than silently
     re-closing the set.
     """
+    if alpha.parent != H.parent:
+        raise ParentMismatchError("automorphism belongs to a different group")
     fixed = tuple(x for x in H.members if alpha.image[x] == x)
     try:
         return SubgroupSet(H.parent, fixed)
@@ -271,12 +278,30 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
         ) from exc
 
 
+def coset_autocommutator(G: GroupTable, coset: tuple[int, ...], alpha: Automorphism) -> int:
+    """[x, alpha] = x^-1 alpha(x) for the representatives x of a coset of L, checked equal.
+
+    Raises :class:`InvariantError` when two representatives disagree, and
+    :class:`ParentMismatchError` for an automorphism of a group other than G.
+    """
+    if alpha.parent != G:
+        raise ParentMismatchError("automorphism belongs to a different group")
+    t, invs, img = G.table, G.inverses, alpha.image
+    values = {t[invs[x]][img[x]] for x in coset}
+    if len(values) != 1:
+        raise InvariantError(
+            f"coset {coset} maps to {sorted(values)} under {alpha.cycle_notation()}"
+        )
+    return values.pop()
+
+
 @dataclass(frozen=True, eq=False)
 class SubgroupAction:
     """The structures of one (H, A), each computed on first use and then kept.
 
     Build it through :meth:`AutGroup.action_on`, which keeps one per
-    subgroup, so every report, bound and pair reads the same values.
+    subgroup, so every report, bound and pair reads the same values. It is
+    also the pair (H, G) of the isoclinism layer (:func:`make_pair`).
     """
 
     subgroup: SubgroupSet
@@ -311,6 +336,44 @@ class SubgroupAction:
     def pr(self) -> Fraction:
         H, A = self.subgroup, self.auts
         return Fraction(sum(A.fixer_count[x] for x in H.members), H.size * A.size)
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        """H/L; L must be normal in H, as it is whenever A contains Inn(G)."""
+        return quotient_group(self.subgroup.parent, self.subgroup, self.autocentre)
+
+    @cached_property
+    def commutator_group(self) -> GroupTable:
+        """[H, A] as its own group: element i is ``commutator_subgroup.members[i]``."""
+        return subgroup_as_group(self.subgroup.parent, self.commutator_subgroup)[0]
+
+    @cached_property
+    def commutator_position(self) -> dict[int, int]:
+        """The element of :attr:`commutator_group` for each member of [H, A]."""
+        return {m: i for i, m in enumerate(self.commutator_subgroup.members)}
+
+    @cached_property
+    def pairing(self) -> tuple[tuple[int, ...], ...]:
+        """``pairing[c][a]``: [x, members[a]] for x in coset c of :attr:`quotient`.
+
+        Each value is an element of :attr:`commutator_group`, and every
+        representative of every coset is checked (:func:`coset_autocommutator`).
+        """
+        G, pos = self.subgroup.parent, self.commutator_position
+        rows = []
+        for coset in self.quotient.cosets:
+            values = [coset_autocommutator(G, coset, a) for a in self.auts.members]
+            if any(v not in pos for v in values):
+                raise InvariantError("an autocommutator left the autocommutator subgroup")
+            rows.append(tuple(pos[v] for v in values))
+        return tuple(rows)
+
+    def label(self) -> str:
+        """The parent's label, followed by the members of H unless H is the whole group."""
+        g = self.subgroup.parent.label()
+        if self.subgroup.is_whole():
+            return g
+        return f"{g}[{','.join(str(m) for m in self.subgroup.members)}]"
 
 
 def autocentre(H: SubgroupSet, A: AutGroup) -> SubgroupSet:

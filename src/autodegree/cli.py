@@ -16,7 +16,7 @@ from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build
 from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, subgroup_closure, whole_subgroup
-from .isoclinism import decide_autoisoclinism, make_pair
+from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
 
@@ -187,6 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "kv"), default="human",
                        help="human-readable or machine-readable key-value output")
 
+    def add_witness_caps(p):
+        p.add_argument("--aut-cap", type=int, default=AUT_CAP,
+                       help=f"witness-search cap on |Aut| (default {AUT_CAP})")
+        p.add_argument("--witness-cap", type=int, default=QUOTIENT_CAP,
+                       help=f"witness-search cap on the quotient order (default {QUOTIENT_CAP})")
+
     p_compute = sub.add_parser("compute", help="degree report for one group (or file)")
     p_compute.add_argument("--group", required=True,
                            help="catalog name (see 'groups list') or path to a table file")
@@ -199,20 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-order", type=int, default=12,
                           help="largest group order to scan (default 12)")
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
-    p_verify.add_argument("--aut-cap", type=int, default=48,
-                          help="witness-search cap on |Aut| (default 48)")
-    p_verify.add_argument("--witness-cap", type=int, default=16,
-                          help="witness-search cap on the quotient order (default 16)")
+    add_witness_caps(p_verify)
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_iso = sub.add_parser("isoclinic", help="search for an autoisoclinism between two pairs")
     p_iso.add_argument("pair1", help="GROUP or GROUP:whole or GROUP:gens=i,j,...")
     p_iso.add_argument("pair2", help="GROUP or GROUP:whole or GROUP:gens=i,j,...")
-    p_iso.add_argument("--aut-cap", type=int, default=48,
-                       help="witness-search cap on |Aut| (default 48)")
-    p_iso.add_argument("--witness-cap", type=int, default=16,
-                       help="witness-search cap on the quotient order (default 16)")
+    add_witness_caps(p_iso)
     add_format(p_iso)
     p_iso.set_defaults(func=cmd_isoclinic)
 

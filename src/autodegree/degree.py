@@ -18,7 +18,6 @@ from .automorphisms import (
     autocommutator_subgroup,
     orbit,
     orbits_on_subgroup,
-    stabilizer,
     trivial_stabilizer_set,
 )
 from .catalog import cyclic, smallest_prime_divisor
@@ -31,8 +30,6 @@ from .groups import (
     direct_product,
     find_isomorphism,
     permutation_table,
-    quotient_group,
-    subgroup_as_group,
 )
 
 
@@ -52,12 +49,12 @@ def pr_definition(H: SubgroupSet, A: AutGroup) -> Fraction:
 def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
     """The degree from stabilizer sizes and again from fixed-set sizes.
 
-    Both decompose the fixed-pair set: once by the element, summing the
-    size of each element's stabilizer in A, and once by the automorphism,
-    counting the points of H each automorphism fixes.
+    Both decompose the fixed-pair set: once by the element, counting the
+    members of A that fix it, and once by the automorphism, counting the
+    points of H each automorphism fixes.
     """
     denom = H.size * A.size
-    stab_total = sum(stabilizer(A, x).size for x in H.members)
+    stab_total = sum(sum(1 for a in A.members if a.image[x] == x) for x in H.members)
     fixed_total = sum(1 for a in A.members for x in H.members if a.image[x] == x)
     return Fraction(stab_total, denom), Fraction(fixed_total, denom)
 
@@ -378,6 +375,12 @@ class EqualityReport:
         return self.divisibility_holds and self.structure_holds
 
 
+def _is_cyclic_power(quot: GroupTable, q: int, k: int) -> bool:
+    """Whether ``quot`` is isomorphic to C(q)^k, for k = 1 or 2."""
+    expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
+    return find_isomorphism(quot, expected) is not None
+
+
 def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[EqualityReport]:
     """When Pr = (q^k + p - 1)/(p q^k): check pq | |H||A| and H/L = C(q)^k.
 
@@ -387,22 +390,21 @@ def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[
     where the bound does not apply).
     """
     try:
-        core, p, q = _standing_assumptions(H, A)
+        _, p, q = _standing_assumptions(H, A)
     except HypothesisError:
         return None
     pr = pr_definition(H, A)
     if pr != Fraction(q**k + p - 1, p * q**k):
         return None
-    quot = quotient_group(H.parent, H, core)
-    expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
+    quot = A.action_on(H).quotient.group
     return EqualityReport(
         name=name,
         p=p,
         q=q,
         pr=pr,
         divisibility_holds=(H.size * A.size) % (p * q) == 0,
-        quotient_order=quot.group.order,
-        structure_holds=find_isomorphism(quot.group, expected) is not None,
+        quotient_order=quot.order,
+        structure_holds=_is_cyclic_power(quot, q, k),
         expected_structure="×".join([f"C({q})"] * k),
         special_case_5_8=(p == 2 and q == 2 and pr == Fraction(5, 8)),
     )
@@ -447,10 +449,9 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     predicted = Fraction(1, p) * (Fraction(p - 1, index) + 1)
     pr = pr_definition(H, A)
     checks = [_check("converse_degree", pr, predicted, "equal", p=p, q=q)]
-    quot = quotient_group(H.parent, H, core)
+    quot = A.action_on(H).quotient.group
     for k, name in ((1, "converse_cyclic_quotient"), (2, "converse_bicyclic_quotient")):
-        expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
-        if find_isomorphism(quot.group, expected) is not None:
+        if _is_cyclic_power(quot, q, k):
             checks.append(_check(name, pr, Fraction(q**k + p - 1, p * q**k), "equal", p=p, q=q))
             break
     return checks
@@ -519,9 +520,8 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     is the alternating subgroup, and (a), (b), (e) hold while (c), (d) fail.
     """
     core, _, _ = _standing_assumptions(H, A)
-    g = H.parent
-    t = g.table
-    invs = g.inverses
+    t = H.parent.table
+    invs = H.parent.inverses
     ksub = autocommutator_subgroup(H, A)
     kset = ksub.member_set
     outside = [x for x in H.members if x not in core.member_set]
@@ -538,7 +538,7 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
         )
         and kset <= core.member_set
     )
-    k_group, _ = subgroup_as_group(g, ksub)
+    k_group = A.action_on(H).commutator_group
     reps = sorted({min(a.image[x] for a in A.members) for x in outside})
     quotients = (_induced_on_orbit(A, r) for r in reps)
     d_flag = all(q is not None and find_isomorphism(q, k_group) is not None for q in quotients)

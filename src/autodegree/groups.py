@@ -2,7 +2,8 @@
 
 Elements are plain ints indexing into an n-by-n multiplication table;
 index 0 is always the identity. Tables, subgroups and homomorphisms are
-immutable and safe to share between threads.
+frozen and their cached properties are deterministic, so threads may share
+them; a cached value filled by concurrent first use may be computed twice.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
+
+# The largest group order the exhaustive searches accept unless told otherwise.
+ORDER_CAP = 24
 
 
 class GroupError(Exception):
@@ -368,7 +372,7 @@ def _double_coset(G: GroupTable, gens: Sequence[int], g: int) -> set[int]:
     return seen
 
 
-def enumerate_subgroups(G: GroupTable, cap: int = 24) -> list[SubgroupSet]:
+def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet]:
     """All subgroups of G, each exactly once, sorted by (order, members).
 
     Works by cyclic extension: start from the trivial subgroup and

@@ -13,65 +13,35 @@ once, and compares the degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from . import automorphisms as am
-from .automorphisms import AutGroup, Automorphism
+from .automorphisms import AutGroup, Automorphism, SubgroupAction
 from .degree import BoundCheck, _check, pr_definition
 from .groups import (
     GroupError,
     GroupHom,
     GroupTable,
-    InvariantError,
     PreconditionError,
-    Quotient,
     SizeCapError,
     SubgroupSet,
+    _require_same_parent,
     close_partial_map,
     iter_isomorphisms,
-    quotient_group,
-    subgroup_as_group,
     whole_subgroup,
 )
 
-
-@dataclass(frozen=True)
-class PairedGroups:
-    """Everything the isoclinism diagram needs about one pair (H, G).
-
-    ``pairing[c][a]`` is the autocommutator [x, alpha] of the canonical
-    (smallest) representative x of coset c with automorphism index a,
-    expressed as an element index of ``commutator_group``.
-    """
-
-    group: GroupTable
-    subgroup: SubgroupSet
-    auts: AutGroup
-    autocentre: SubgroupSet
-    commutator: SubgroupSet
-    quotient: Quotient
-    commutator_group: GroupTable
-    commutator_embedding: tuple[int, ...]
-    pairing: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def commutator_position(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.commutator_embedding)}
-
-    def label(self) -> str:
-        g = self.group.label()
-        if self.subgroup.is_whole():
-            return g
-        return f"{g}[{','.join(str(m) for m in self.subgroup.members)}]"
+# The witness search's default caps on |Aut| and on the quotient order.
+AUT_CAP = 48
+QUOTIENT_CAP = 16
 
 
 def make_pair(
     G: GroupTable,
     H: Optional[SubgroupSet] = None,
     auts: Optional[AutGroup] = None,
-) -> PairedGroups:
-    """Assemble the derived structures for one (subgroup, group) pair.
+) -> SubgroupAction:
+    """The (H, A) record of one (subgroup, group) pair, with its coset pairing built.
 
     ``auts`` is Aut(G), if the caller has already computed it; any
     automorphism group containing Inn(G) will do, and one that does not
@@ -83,8 +53,8 @@ def make_pair(
     Every coset representative is still checked while the pairing is
     built, and a disagreement raises :class:`InvariantError`.
     """
-    if H is None:
-        H = whole_subgroup(G)
+    H = whole_subgroup(G) if H is None else H
+    _require_same_parent(G, H)
     A = auts if auts is not None else am.compute_aut(G)
     images = {a.image for a in A.members}
     missing = [a for a in am.compute_inn(G).members if a.image not in images]
@@ -93,60 +63,22 @@ def make_pair(
             f"the automorphisms must contain Inn(G), as the quotient by the autocentre "
             f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
         )
-    core = am.autocentre(H, A)
-    ksub = am.autocommutator_subgroup(H, A)
-    quot = quotient_group(G, H, core)
-    k_group, k_embed = subgroup_as_group(G, ksub)
-    k_pos = {m: i for i, m in enumerate(k_embed)}
-    t = G.table
-    invs = G.inverses
-    rows = []
-    for coset in quot.cosets:
-        row = []
-        for a in A.members:
-            img = a.image
-            values = {t[invs[x]][img[x]] for x in coset}
-            if len(values) != 1:
-                raise InvariantError(
-                    f"coset {coset} maps to {sorted(values)} under {a.cycle_notation()}"
-                )
-            v = values.pop()
-            if v not in k_pos:
-                raise InvariantError("an autocommutator left the autocommutator subgroup")
-            row.append(k_pos[v])
-        rows.append(tuple(row))
-    return PairedGroups(
-        group=G,
-        subgroup=H,
-        auts=A,
-        autocentre=core,
-        commutator=ksub,
-        quotient=quot,
-        commutator_group=k_group,
-        commutator_embedding=k_embed,
-        pairing=tuple(rows),
-    )
+    pair = A.action_on(H)
+    pair.pairing  # built here, so that a bad coset raises at construction
+    return pair
 
 
-def autocommutator_pairing(P: PairedGroups, coset_index: int, alpha: Automorphism) -> int:
+def autocommutator_pairing(P: SubgroupAction, coset_index: int, alpha: Automorphism) -> int:
     """The pairing value [x, alpha] for coset ``coset_index``, as a parent index.
 
-    Uses the canonical (smallest) representative, after checking that every
-    representative of the coset gives the same value (see :func:`make_pair`
-    for why they always do).
+    Recomputed from the definition, not read from ``P.pairing``, and checked
+    equal on every representative of the coset (see :func:`make_pair` for
+    why it always is); an automorphism of another group is refused.
     """
-    if not 0 <= coset_index < len(P.quotient.cosets):
-        raise PreconditionError(f"no coset {coset_index} in a quotient of order {len(P.quotient.cosets)}")
-    coset = P.quotient.cosets[coset_index]
-    t = P.group.table
-    invs = P.group.inverses
-    img = alpha.image
-    values = {t[invs[x]][img[x]] for x in coset}
-    if len(values) != 1:
-        raise InvariantError(
-            f"coset {coset} maps to {sorted(values)} under {alpha.cycle_notation()}"
-        )
-    return t[invs[coset[0]]][img[coset[0]]]
+    cosets = P.quotient.cosets
+    if not 0 <= coset_index < len(cosets):
+        raise PreconditionError(f"no coset {coset_index} in a quotient of order {len(cosets)}")
+    return am.coset_autocommutator(P.subgroup.parent, cosets[coset_index], alpha)
 
 
 @dataclass(frozen=True)
@@ -159,7 +91,7 @@ class IsoclinismWitness:
 
 
 def _derive_beta(
-    P1: PairedGroups, P2: PairedGroups, psi_img: tuple[int, ...], gamma_img: tuple[int, ...]
+    P1: SubgroupAction, P2: SubgroupAction, psi_img: tuple[int, ...], gamma_img: tuple[int, ...]
 ) -> Optional[tuple[int, ...]]:
     """The only beta that can close the diagram for (psi, gamma), or None.
 
@@ -190,10 +122,10 @@ def _derive_beta(
 
 
 def find_autoisoclinism(
-    P1: PairedGroups,
-    P2: PairedGroups,
-    aut_cap: int = 48,
-    quotient_cap: int = 16,
+    P1: SubgroupAction,
+    P2: SubgroupAction,
+    aut_cap: int = AUT_CAP,
+    quotient_cap: int = QUOTIENT_CAP,
     fast_reject: bool = True,
 ) -> Optional[IsoclinismWitness]:
     """Search for an autoisoclinism witness; None after exhausting the space.
@@ -220,7 +152,7 @@ def find_autoisoclinism(
         if (
             P1.quotient.group.order != P2.quotient.group.order
             or P1.auts.size != P2.auts.size
-            or P1.commutator.size != P2.commutator.size
+            or P1.commutator_subgroup.size != P2.commutator_subgroup.size
         ):
             return None
     psis = tuple(iter_isomorphisms(P1.quotient.group, P2.quotient.group))
@@ -239,7 +171,7 @@ def find_autoisoclinism(
 
 
 def verify_witness(
-    P1: PairedGroups, P2: PairedGroups, witness: IsoclinismWitness
+    P1: SubgroupAction, P2: SubgroupAction, witness: IsoclinismWitness
 ) -> tuple[bool, Optional[str]]:
     """Re-check a witness from scratch, independent of the search path.
 
@@ -288,7 +220,7 @@ def invert_witness(witness: IsoclinismWitness) -> IsoclinismWitness:
     )
 
 
-def _equal_degree(P1: PairedGroups, P2: PairedGroups) -> BoundCheck:
+def _equal_degree(P1: SubgroupAction, P2: SubgroupAction) -> BoundCheck:
     return _check(
         "isoclinic_equal_degree",
         pr_definition(P1.subgroup, P1.auts),
@@ -298,7 +230,7 @@ def _equal_degree(P1: PairedGroups, P2: PairedGroups) -> BoundCheck:
 
 
 def check_equal_degree(
-    P1: PairedGroups, P2: PairedGroups, witness: IsoclinismWitness
+    P1: SubgroupAction, P2: SubgroupAction, witness: IsoclinismWitness
 ) -> BoundCheck:
     """Autoisoclinic pairs must have exactly equal degrees.
 
@@ -311,7 +243,7 @@ def check_equal_degree(
 
 
 def decide_autoisoclinism(
-    P1: PairedGroups, P2: PairedGroups, aut_cap: int = 48, quotient_cap: int = 16
+    P1: SubgroupAction, P2: SubgroupAction, aut_cap: int = AUT_CAP, quotient_cap: int = QUOTIENT_CAP
 ) -> tuple[Optional[IsoclinismWitness], Optional[str], Optional[BoundCheck]]:
     """Search for a witness, verify it once, and compare the degrees.
 

@@ -16,8 +16,8 @@ from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
-from .groups import GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups
-from .isoclinism import decide_autoisoclinism, make_pair
+from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups
+from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import describe_check, describe_equality, describe_equivalence
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
@@ -289,10 +289,10 @@ class _Scan:
 def run_scan(
     suite: str = "all",
     max_order: int = 12,
-    aut_cap: int = 48,
-    quotient_cap: int = 16,
+    aut_cap: int = AUT_CAP,
+    quotient_cap: int = QUOTIENT_CAP,
     catalog: Optional[tuple[CatalogEntry, ...]] = None,
-    group_cap: int = 24,
+    group_cap: int = ORDER_CAP,
 ) -> ScanReport:
     """Run the selected suite over every catalog (G, H) with |G| <= max_order."""
     if suite != "all" and suite not in SUITES:

@@ -12,7 +12,10 @@ relabeling the elements leaves every invariant unchanged, the five
 equivalence flags included.
 """
 
+import contextlib
+import io
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -21,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from autodegree import cli, groups
 from autodegree.automorphisms import (
     ActionOrbit,
     AutGroup,
+    SubgroupAction,
     autocentre,
     autocommutator_set,
     autocommutator_subgroup,
@@ -191,6 +196,40 @@ def test_scan_builds_at_most_three_subgroup_sets_per_subgroup(name, monkeypatch)
     monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
     run_scan("all", max_order=48, catalog=(entry,), group_cap=48)
     assert len(built) <= 3 * found
+
+
+def serving_pair(frame):
+    """(A, H) of the nearest caller that holds an automorphism group and a subgroup."""
+    while frame is not None:
+        names = frame.f_locals
+        if isinstance(names.get("self"), SubgroupAction):
+            return names["self"].auts, names["self"].subgroup.members
+        if isinstance(names.get("A"), AutGroup) and isinstance(names.get("H"), SubgroupSet):
+            return names["A"], names["H"].members
+        frame = frame.f_back
+    raise AssertionError("called outside every (H, A)")
+
+
+@pytest.mark.parametrize("builder", ["quotient_group", "subgroup_as_group"])
+def test_verify_builds_each_quotient_and_commutator_table_once(builder, monkeypatch):
+    # H/L and [H, A] as its own group are kept in the (H, A) record, so the
+    # equality, equivalence and isoclinism suites share one of each.
+    real = getattr(groups, builder)
+    served = []
+
+    def counting(*args):
+        A, members = serving_pair(sys._getframe(1))
+        served.append((A, members))
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "autodegree" or name.startswith("autodegree.")) and getattr(mod, builder, None) is real:
+            monkeypatch.setattr(mod, builder, counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--suite", "all", "--max-order", "24", "--format", "kv"]) == 1
+    assert served
+    repeats = Counter((id(A), members) for A, members in served)
+    assert max(repeats.values()) == 1
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG_NAMES)

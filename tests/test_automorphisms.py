@@ -159,6 +159,14 @@ class TestAutocommutator:
         with pytest.raises(ParentMismatchError):
             autocommutator(cyclic(5), 1, a.members[1])
 
+    def test_fixed_subgroup_refuses_a_foreign_automorphism(self):
+        # Every index of C(4) is in range for an automorphism of C(8), so
+        # without the parent check its fixed points inside C(4) would be read.
+        g, _ = aut_of("C(4)")
+        for alpha in compute_aut(cyclic(8)).members:
+            with pytest.raises(ParentMismatchError):
+                fixed_subgroup(whole_subgroup(g), alpha)
+
 
 class TestOrbitsAndStabilizers:
     def test_orbit_of_generator_z4(self):

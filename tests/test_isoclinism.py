@@ -14,10 +14,12 @@ from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
 from autodegree.groups import (
     GroupHom,
+    ParentMismatchError,
     PreconditionError,
     SizeCapError,
     find_isomorphism,
     subgroup_closure,
+    whole_subgroup,
 )
 from autodegree.isoclinism import (
     IsoclinismWitness,
@@ -66,7 +68,7 @@ class TestPairing:
 
     def test_pairing_lands_in_commutator_subgroup(self):
         p = pair_of("Q8")
-        kset = set(p.commutator.members)
+        kset = set(p.commutator_subgroup.members)
         for c in range(len(p.quotient.cosets)):
             for alpha in p.auts.members:
                 assert autocommutator_pairing(p, c, alpha) in kset
@@ -75,7 +77,23 @@ class TestPairing:
         p = pair_of("S(3)")
         assert p.autocentre.members == (0,)
         assert p.quotient.group.order == 6
-        assert p.commutator_group.order == p.commutator.size
+        assert p.commutator_group.order == p.commutator_subgroup.size
+
+    def test_pair_is_the_subgroup_record(self):
+        s3 = catalog_build("S(3)")
+        A = compute_aut(s3)
+        for h in (subgroup_closure(s3, {3}), whole_subgroup(s3)):
+            assert make_pair(s3, h, auts=A) is A.action_on(h)
+
+    @pytest.mark.parametrize("name", ["C(8)", "C(2)×C(2)"])
+    def test_foreign_automorphisms_are_refused(self, name):
+        # An automorphism of C(8) reads the indices of C(4) as its own, giving
+        # wrong values or an IndexError; one of C(2)xC(2) splits a coset of C(4).
+        p = pair_of("C(4)")
+        for alpha in compute_aut(catalog_build(name)).members:
+            for c in range(len(p.quotient.cosets)):
+                with pytest.raises(ParentMismatchError):
+                    autocommutator_pairing(p, c, alpha)
 
 
 class TestWitnessSearch:
@@ -162,7 +180,7 @@ class TestWitnessSearch:
         p1, p2 = build(*spec1), build(*spec2)
         assert find_isomorphism(p1.quotient.group, p2.quotient.group) is not None
         assert find_isomorphism(p1.auts.abstract_group, p2.auts.abstract_group) is not None
-        assert p1.commutator.size != p2.commutator.size
+        assert p1.commutator_subgroup.size != p2.commutator_subgroup.size
         assert find_autoisoclinism(p1, p2, fast_reject=False) is None
         assert find_autoisoclinism(p2, p1, fast_reject=False) is None
 
