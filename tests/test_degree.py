@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from autodegree.automorphisms import compute_aut, compute_inn
+from autodegree.automorphisms import autocentre, compute_aut, compute_inn
 from autodegree.catalog import catalog_build
 from autodegree.degree import (
     bound_lower_S,
@@ -36,6 +36,7 @@ from autodegree.groups import (
     trivial_subgroup,
     whole_subgroup,
 )
+from autodegree.scan import DEFAULT_CATALOG_NAMES
 
 
 def instance(name: str):
@@ -311,6 +312,86 @@ class TestLowerBounds:
                     continue
                 assert c.holds, (name, h.members)
                 assert c.is_equality == c.condition_met, (name, h.members)
+
+
+def _least_prime(n: int) -> int:
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def _power(table, x: int, e: int) -> int:
+    acc = 0
+    for _ in range(e):
+        acc = table[acc][x]
+    return acc
+
+
+def _formula_bounds(table, h, auts) -> dict[str, Fraction]:
+    """Each applicable check's bound from the paper's formula, by check name."""
+    hm = h.members
+    nh, na = len(hm), len(auts)
+    core = oracles.brute_autocentre(hm, auts)
+    nl = len(core)
+    x = len(oracles.brute_only_identity_fixes(hm, auts))
+    p = _least_prime(na)
+    bounds = {"lower_main": Fraction(nl, nh) + Fraction(p * (nh - x - nl) + x, nh * na)}
+    if nl == nh:
+        return bounds
+    q = _least_prime(nh)
+    sset = oracles.brute_autocommutators(table, hm, auts)
+    k = len(oracles.brute_closure(table, sset))
+    index = nh // nl
+
+    def family(m: int) -> Fraction:
+        return Fraction(1, m) * (1 + Fraction(m - 1, index))
+
+    bounds.update(
+        upper_main=(Fraction((p - 1) * nl + nh, p * nh)
+                    - Fraction(x * (na - p), p * nh * na)),
+        upper_pq=Fraction(p + q - 1, p * q),
+        upper_cap_3_4=Fraction(3, 4),
+        lower_autocommutator_set=family(len(sset)),
+        lower_commutator_subgroup=family(k),
+        lower_monotone_family=family(k),
+        lower_commutator_vs_plain=Fraction(nl, nh) + Fraction(p * (nh - nl), nh * na),
+    )
+    if not h.is_abelian:
+        bounds["upper_nonabelian_pq2"] = Fraction(q * q + p - 1, p * q * q)
+        bounds["upper_cap_5_8"] = Fraction(5, 8)
+    if all(len(oracles.brute_orbit(table, auts, y)) == p for y in hm if y not in core):
+        bounds["converse_degree"] = family(p)
+        if index == q:
+            bounds["converse_cyclic_quotient"] = Fraction(q + p - 1, p * q)
+        elif index == q * q and all(_power(table, y, q) in core for y in hm):
+            bounds["converse_bicyclic_quotient"] = Fraction(q * q + p - 1, p * q * q)
+    return bounds
+
+
+class TestBoundFormulas:
+    """Every bound value against the paper's formulas, written out in the test.
+
+    L, X, S and [H, A] come from the brute-force oracles, p and q from trial
+    division, and H/L = C(q) or C(q) x C(q) from the index and the q-th
+    powers; nothing is read from the package but the checks under test.
+    """
+
+    @pytest.mark.parametrize("name", DEFAULT_CATALOG_NAMES)
+    def test_bounds_over_aut_and_inn(self, name):
+        g = catalog_build(name)
+        for a in (compute_aut(g), compute_inn(g)):
+            if a.size == 1:
+                continue
+            for h in enumerate_subgroups(g):
+                checks = [bound_lower_main(h, a)]
+                if autocentre(h, a).size < h.size:
+                    checks += [bound_upper_main(h, a), *bound_upper_pq(h, a)]
+                    checks += [bound_lower_S(h, a), *bound_lower_commutator(h, a)]
+                    if not h.is_abelian:
+                        checks += bound_upper_nonabelian(h, a)
+                    checks += converse_check(h, a)
+                got = {c.name: c.bound for c in checks}
+                assert len(got) == len(checks)
+                expected = _formula_bounds(g.table, h, [m.image for m in a.members])
+                assert got == expected, (name, a.size, h.members)
 
 
 class TestEqualityClassification:
