@@ -3,10 +3,19 @@
 The degree of (H, A) is the probability that a uniformly random pair
 (x, alpha) in H x A satisfies alpha(x) = x. Everything here is computed
 as an exact Fraction; floats appear only in rendered reports.
+
+The paper's bounds come in three families, each written once:
+- :func:`_sharp` (q^k + p - 1)/(p q^k): the pq and pq^2 upper bounds, their
+  3/4 and 5/8 caps, and the equality and converse checks with H/L = C(q)^k;
+- :func:`_family` (1/m)(1 + (m - 1)/|H : L|): the lower bounds through S
+  and [H, A], equivalence (a), and the converse closed form;
+- :func:`_lower` |L|/|H| + (p(|H| - |X| - |L|) + |X|)/(|H||A|): the main
+  lower bound, and the plain bound at |X| = 0.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -20,14 +29,13 @@ from .automorphisms import (
     orbits_on_subgroup,
     trivial_stabilizer_set,
 )
-from .catalog import cyclic, smallest_prime_divisor
+from .catalog import smallest_prime_divisor
 from .groups import (
     GroupError,
     GroupTable,
     InvariantError,
     PreconditionError,
     SubgroupSet,
-    direct_product,
     find_isomorphism,
     permutation_table,
 )
@@ -153,51 +161,57 @@ def degree_report(H: SubgroupSet, A: AutGroup) -> DegreeReport:
     )
 
 
+_HOLDS = {"upper": operator.le, "lower": operator.ge, "equal": operator.eq}
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One evaluated inequality or equality claim about a degree.
 
-    ``holds`` is recorded, never enforced: a falsified claim whose
-    hypothesis is met is a scan failure, not an exception. ``informational``
-    marks claims that are reported as findings instead of failures.
+    ``holds`` and ``is_equality`` are derived from ``value``, ``bound`` and
+    ``direction``, never stored; an unknown direction raises
+    :class:`ValueError` at construction. ``holds`` is never enforced: a
+    falsified claim whose hypothesis is met is a scan failure, not an
+    exception. ``informational`` marks claims that are reported as
+    findings instead of failures.
     """
 
     name: str
     value: Fraction
     bound: Fraction
     direction: str  # "upper", "lower" or "equal"
-    holds: bool
-    is_equality: bool
-    hypothesis_met: bool
+    hypothesis_met: bool = True
     p: Optional[int] = None
     q: Optional[int] = None
     condition_met: Optional[bool] = None
     informational: bool = False
 
+    def __post_init__(self) -> None:
+        if self.direction not in _HOLDS:
+            raise ValueError(f"unknown direction {self.direction!r}")
 
-def _check(
-    name: str,
-    value: Fraction,
-    bound: Fraction,
-    direction: str,
-    hypothesis_met: bool = True,
-    p: Optional[int] = None,
-    q: Optional[int] = None,
-    condition_met: Optional[bool] = None,
-    informational: bool = False,
-) -> BoundCheck:
-    if direction == "upper":
-        holds = value <= bound
-    elif direction == "lower":
-        holds = value >= bound
-    elif direction == "equal":
-        holds = value == bound
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return BoundCheck(
-        name, value, bound, direction, holds, value == bound,
-        hypothesis_met, p, q, condition_met, informational,
-    )
+    @property
+    def holds(self) -> bool:
+        return _HOLDS[self.direction](self.value, self.bound)
+
+    @property
+    def is_equality(self) -> bool:
+        return self.value == self.bound
+
+
+def _sharp(p: int, q: int, k: int) -> Fraction:
+    """The sharp family (q^k + p - 1)/(p q^k)."""
+    return Fraction(q**k + p - 1, p * q**k)
+
+
+def _family(m: int, H: SubgroupSet, L: SubgroupSet) -> Fraction:
+    """The lower family (1/m)(1 + (m - 1)/|H : L|)."""
+    return Fraction(1, m) * (1 + Fraction(m - 1, H.size // L.size))
+
+
+def _lower(H: SubgroupSet, A: AutGroup, L: SubgroupSet, p: int, x: int) -> Fraction:
+    """The main lower form |L|/|H| + (p(|H| - x - |L|) + x)/(|H||A|), x = |X|."""
+    return Fraction(L.size, H.size) + Fraction(p * (H.size - x - L.size) + x, H.size * A.size)
 
 
 def _standing_assumptions(H: SubgroupSet, A: AutGroup) -> tuple[SubgroupSet, int, int]:
@@ -224,7 +238,7 @@ def check_monotonicity(H: SubgroupSet, K: SubgroupSet, A: AutGroup) -> BoundChec
     if not H.member_set <= K.member_set:
         raise PreconditionError("H must be contained in K")
     index = K.size // H.size
-    return _check(
+    return BoundCheck(
         "monotonicity",
         pr_definition(H, A),
         index * pr_definition(K, A),
@@ -246,32 +260,29 @@ def bound_upper_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     bound = Fraction((p - 1) * core.size + H.size, p * H.size) - Fraction(
         x * (A.size - p), p * H.size * A.size
     )
-    return _check("upper_main", pr_definition(H, A), bound, "upper", p=p)
+    return BoundCheck("upper_main", pr_definition(H, A), bound, "upper", p=p)
+
+
+def _upper_sharp(H: SubgroupSet, A: AutGroup, k: int, name: str, cap: str) -> list[BoundCheck]:
+    """Pr <= (q^k + p - 1)/(p q^k), and its p = q = 2 value as a cap when q >= p."""
+    _, p, q = _standing_assumptions(H, A)
+    value = pr_definition(H, A)
+    return [
+        BoundCheck(name, value, _sharp(p, q, k), "upper", p=p, q=q),
+        BoundCheck(cap, value, _sharp(2, 2, k), "upper", hypothesis_met=q >= p, p=p, q=q),
+    ]
 
 
 def bound_upper_pq(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     """Pr <= (p + q - 1)/(pq), and the 3/4 cap whenever q >= p."""
-    _, p, q = _standing_assumptions(H, A)
-    value = pr_definition(H, A)
-    return [
-        _check("upper_pq", value, Fraction(p + q - 1, p * q), "upper", p=p, q=q),
-        _check("upper_cap_3_4", value, Fraction(3, 4), "upper",
-               hypothesis_met=q >= p, p=p, q=q),
-    ]
+    return _upper_sharp(H, A, 1, "upper_pq", "upper_cap_3_4")
 
 
 def bound_upper_nonabelian(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     """For non-abelian H: Pr <= (q^2 + p - 1)/(p q^2), and 5/8 when q >= p."""
     if H.is_abelian:
         raise HypothesisError("this bound applies only to non-abelian subgroups")
-    _, p, q = _standing_assumptions(H, A)
-    value = pr_definition(H, A)
-    return [
-        _check("upper_nonabelian_pq2", value, Fraction(q * q + p - 1, p * q * q),
-               "upper", p=p, q=q),
-        _check("upper_cap_5_8", value, Fraction(5, 8), "upper",
-               hypothesis_met=q >= p, p=p, q=q),
-    ]
+    return _upper_sharp(H, A, 2, "upper_nonabelian_pq2", "upper_cap_5_8")
 
 
 def pr_le_commuting(H: SubgroupSet, A: AutGroup) -> BoundCheck:
@@ -280,7 +291,7 @@ def pr_le_commuting(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     Holds because each conjugacy class sits inside the corresponding orbit.
     No standing assumptions: valid for every (H, A).
     """
-    return _check("pr_le_commuting", pr_definition(H, A), pr_commuting(H), "upper")
+    return BoundCheck("pr_le_commuting", pr_definition(H, A), pr_commuting(H), "upper")
 
 
 def bound_lower_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
@@ -293,10 +304,7 @@ def bound_lower_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     core = autocentre(H, A)
     p = smallest_prime_divisor(A.size)
     x = len(trivial_stabilizer_set(H, A))
-    bound = Fraction(core.size, H.size) + Fraction(
-        p * (H.size - x - core.size) + x, H.size * A.size
-    )
-    return _check("lower_main", pr_definition(H, A), bound, "lower", p=p)
+    return BoundCheck("lower_main", pr_definition(H, A), _lower(H, A, core, p, x), "lower", p=p)
 
 
 def _coset_times_set(H: SubgroupSet, x: int, values) -> frozenset[int]:
@@ -313,16 +321,13 @@ def bound_lower_S(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     """
     core, _, _ = _standing_assumptions(H, A)
     sset = autocommutator_set(H, A)
-    s = len(sset)
-    index = H.size // core.size
-    bound = Fraction(1, s) * (1 + Fraction(s - 1, index))
     cond = all(
         frozenset(orbit(A, x).members) == _coset_times_set(H, x, sset)
         for x in H.members
         if x not in core.member_set
     )
-    return _check(
-        "lower_autocommutator_set", pr_definition(H, A), bound, "lower",
+    return BoundCheck(
+        "lower_autocommutator_set", pr_definition(H, A), _family(len(sset), H, core), "lower",
         condition_met=cond,
     )
 
@@ -339,21 +344,13 @@ def bound_lower_commutator(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     so a failure is reported as a finding rather than a violation.
     """
     core, p, _ = _standing_assumptions(H, A)
-    s = len(autocommutator_set(H, A))
-    k = autocommutator_subgroup(H, A).size
-    index = H.size // core.size
-
-    def family(m: int) -> Fraction:
-        return Fraction(1, m) * (1 + Fraction(m - 1, index))
-
-    plain = Fraction(core.size, H.size) + Fraction(
-        p * (H.size - core.size), H.size * A.size
-    )
+    by_set = _family(len(autocommutator_set(H, A)), H, core)
+    by_subgroup = _family(autocommutator_subgroup(H, A).size, H, core)
     return [
-        _check("lower_commutator_subgroup", pr_definition(H, A), family(k), "lower"),
-        _check("lower_monotone_family", family(s), family(k), "lower"),
-        _check("lower_commutator_vs_plain", family(k), plain, "lower",
-               p=p, informational=True),
+        BoundCheck("lower_commutator_subgroup", pr_definition(H, A), by_subgroup, "lower"),
+        BoundCheck("lower_monotone_family", by_set, by_subgroup, "lower"),
+        BoundCheck("lower_commutator_vs_plain", by_subgroup, _lower(H, A, core, p, 0), "lower",
+                   p=p, informational=True),
     ]
 
 
@@ -376,9 +373,11 @@ class EqualityReport:
 
 
 def _is_cyclic_power(quot: GroupTable, q: int, k: int) -> bool:
-    """Whether ``quot`` is isomorphic to C(q)^k, for k = 1 or 2."""
-    expected = cyclic(q) if k == 1 else direct_product(cyclic(q), cyclic(q))
-    return find_isomorphism(quot, expected) is not None
+    """Whether ``quot`` is C(q)^k, for prime q and k = 1 or 2, from its element orders.
+
+    Exact: a group of order q is cyclic, and one of order q^2 is C(q^2) or C(q)^2.
+    """
+    return quot.order_profile == (1,) + (q,) * (q**k - 1)
 
 
 def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[EqualityReport]:
@@ -394,7 +393,7 @@ def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[
     except HypothesisError:
         return None
     pr = pr_definition(H, A)
-    if pr != Fraction(q**k + p - 1, p * q**k):
+    if pr != _sharp(p, q, k):
         return None
     quot = A.action_on(H).quotient.group
     return EqualityReport(
@@ -445,14 +444,12 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     outside = [x for x in H.members if x not in core.member_set]
     if any(orbit(A, x).size != p for x in outside):
         return []
-    index = H.size // core.size
-    predicted = Fraction(1, p) * (Fraction(p - 1, index) + 1)
     pr = pr_definition(H, A)
-    checks = [_check("converse_degree", pr, predicted, "equal", p=p, q=q)]
+    checks = [BoundCheck("converse_degree", pr, _family(p, H, core), "equal", p=p, q=q)]
     quot = A.action_on(H).quotient.group
     for k, name in ((1, "converse_cyclic_quotient"), (2, "converse_bicyclic_quotient")):
         if _is_cyclic_power(quot, q, k):
-            checks.append(_check(name, pr, Fraction(q**k + p - 1, p * q**k), "equal", p=p, q=q))
+            checks.append(BoundCheck(name, pr, _sharp(p, q, k), "equal", p=p, q=q))
             break
     return checks
 
@@ -525,10 +522,7 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     ksub = autocommutator_subgroup(H, A)
     kset = ksub.member_set
     outside = [x for x in H.members if x not in core.member_set]
-    index = H.size // core.size
-    family_bound = Fraction(1, ksub.size) * (1 + Fraction(ksub.size - 1, index))
-
-    a_flag = pr_definition(H, A) == family_bound
+    a_flag = pr_definition(H, A) == _family(ksub.size, H, core)
     orbs = A.orbit_of
     b_flag = all(orbs[x].size == ksub.size for x in outside)
     c_flag = (

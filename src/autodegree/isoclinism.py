@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import automorphisms as am
 from .automorphisms import AutGroup, Automorphism, SubgroupAction
-from .degree import BoundCheck, _check, pr_definition
+from .degree import BoundCheck, pr_definition
 from .groups import (
     GroupError,
     GroupHom,
@@ -41,7 +41,7 @@ def make_pair(
     H: Optional[SubgroupSet] = None,
     auts: Optional[AutGroup] = None,
 ) -> SubgroupAction:
-    """The (H, A) record of one (subgroup, group) pair, with its coset pairing built.
+    """The (H, A) record of one (subgroup, group) pair.
 
     ``auts`` is Aut(G), if the caller has already computed it; any
     automorphism group containing Inn(G) will do, and one that does not
@@ -50,8 +50,10 @@ def make_pair(
     whose members every automorphism fixes, lies in the centre of G (hence
     is normal in H), and for l in L, (xl)^-1 alpha(xl) =
     l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l = x^-1 alpha(x).
-    Every coset representative is still checked while the pairing is
-    built, and a disagreement raises :class:`InvariantError`.
+    The pairing is not built here: :func:`_derive_beta` builds it on first
+    use, after the witness-search caps have passed, so a pair refused by a
+    cap never pays for it. Every coset representative is still checked when
+    it is built, and a disagreement raises :class:`InvariantError`.
     """
     H = whole_subgroup(G) if H is None else H
     _require_same_parent(G, H)
@@ -63,9 +65,7 @@ def make_pair(
             f"the automorphisms must contain Inn(G), as the quotient by the autocentre "
             f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
         )
-    pair = A.action_on(H)
-    pair.pairing  # built here, so that a bad coset raises at construction
-    return pair
+    return A.action_on(H)
 
 
 def autocommutator_pairing(P: SubgroupAction, coset_index: int, alpha: Automorphism) -> int:
@@ -221,7 +221,7 @@ def invert_witness(witness: IsoclinismWitness) -> IsoclinismWitness:
 
 
 def _equal_degree(P1: SubgroupAction, P2: SubgroupAction) -> BoundCheck:
-    return _check(
+    return BoundCheck(
         "isoclinic_equal_degree",
         pr_definition(P1.subgroup, P1.auts),
         pr_definition(P2.subgroup, P2.auts),

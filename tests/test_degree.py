@@ -1,13 +1,16 @@
 """Degree formulas, bounds, equality characterizations, and the equivalence."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from autodegree.automorphisms import autocentre, compute_aut, compute_inn
-from autodegree.catalog import catalog_build
+from autodegree.catalog import catalog_build, cyclic
 from autodegree.degree import (
+    BoundCheck,
+    _is_cyclic_power,
     bound_lower_S,
     bound_lower_commutator,
     bound_lower_main,
@@ -154,6 +157,26 @@ class TestCommuting:
         g, h, a = instance("C(4)")
         c = pr_le_commuting(h, a)
         assert c.holds and c.value == Fraction(3, 4) and c.bound == 1
+
+
+class TestBoundCheck:
+    def test_unknown_direction_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="sideways"):
+            BoundCheck("c", Fraction(1, 2), Fraction(1, 2), "sideways")
+
+    @pytest.mark.parametrize("direction, below, above", [
+        ("upper", True, False),
+        ("lower", False, True),
+        ("equal", False, False),
+    ])
+    def test_verdict_derived_from_value(self, direction, below, above):
+        check = BoundCheck("c", Fraction(1, 2), Fraction(1, 2), direction)
+        assert check.holds and check.is_equality
+        for value, holds in ((Fraction(1, 3), below), (Fraction(2, 3), above)):
+            moved = dataclasses.replace(check, value=value)
+            assert moved.holds == holds and not moved.is_equality
+        with pytest.raises(ValueError):
+            dataclasses.replace(check, direction="both")
 
 
 class TestMonotonicity:
@@ -429,6 +452,61 @@ class TestEqualityClassification:
     def test_pq2_s3_inapplicable(self):
         g, h, a = instance("S(3)")
         assert classify_equality_pq2(h, a) is None
+
+    @pytest.mark.parametrize("quot, q, k", [
+        (cyclic(4), 2, 2),
+        (cyclic(9), 3, 2),
+        (catalog_build("C(2)×C(2)"), 2, 1),
+    ])
+    def test_cyclic_power_refuses_the_other_shape(self, quot, q, k):
+        assert not _is_cyclic_power(quot, q, k)
+
+    @pytest.mark.parametrize("quot, q, k", [
+        (cyclic(3), 3, 1),
+        (catalog_build("C(2)×C(2)"), 2, 2),
+        (catalog_build("C(3)×C(3)"), 3, 2),
+    ])
+    def test_cyclic_power_accepts(self, quot, q, k):
+        assert _is_cyclic_power(quot, q, k)
+
+
+@pytest.mark.parametrize("name", ["Q8", "D(4)", "M16"])
+class TestPq2FamilyOverInn:
+    """Over Inn(G) the non-abelian pq^2 family is attained: Pr = 5/8 with
+    H/L = G/Z(G) = C(2) x C(2). Over Aut(G) it is vacuous on the catalog."""
+
+    @staticmethod
+    def inner(name):
+        g = catalog_build(name)
+        return g, whole_subgroup(g), compute_inn(g)
+
+    def test_degree_and_autocentre(self, name):
+        g, h, a = self.inner(name)
+        t = g.table
+        centre = [z for z in g.elements() if all(t[z][y] == t[y][z] for y in g.elements())]
+        assert pr_definition(h, a) == Fraction(5, 8)
+        assert autocentre(h, a).members == tuple(centre)
+
+    def test_classification_is_the_5_8_case(self, name):
+        g, h, a = self.inner(name)
+        rep = classify_equality_pq2(h, a)
+        assert rep is not None and rep.passed()
+        assert rep.special_case_5_8
+        assert rep.expected_structure == "C(2)×C(2)" and rep.quotient_order == 4
+        assert classify_equality_pq(h, a) is None
+
+    def test_nonabelian_bound_and_cap_attained(self, name):
+        g, h, a = self.inner(name)
+        checks = bound_upper_nonabelian(h, a)
+        assert [c.name for c in checks] == ["upper_nonabelian_pq2", "upper_cap_5_8"]
+        assert all(c.holds and c.is_equality and c.bound == Fraction(5, 8) for c in checks)
+
+    def test_converse_takes_the_bicyclic_form(self, name):
+        g, h, a = self.inner(name)
+        checks = converse_check(h, a)
+        assert [c.name for c in checks] == ["converse_degree", "converse_bicyclic_quotient"]
+        assert all(c.holds for c in checks)
+        assert [c.bound for c in checks] == [Fraction(5, 8)] * 2
 
 
 class TestConverse:

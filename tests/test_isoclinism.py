@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from autodegree import cli, isoclinism
+from autodegree import automorphisms, cli, isoclinism
 from autodegree.automorphisms import AutGroup, Automorphism, compute_aut
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
@@ -30,6 +30,7 @@ from autodegree.isoclinism import (
     make_pair,
     verify_witness,
 )
+from autodegree.scan import run_scan
 
 
 def pair_of(name: str):
@@ -60,8 +61,9 @@ class TestPairing:
             make_pair(s3, auts=A)
 
     def test_well_defined_across_representatives(self):
-        # make_pair checks every representative of every coset and raises
-        # InvariantError on a disagreement, so building the pair is the check.
+        # The pairing is built on first read, which checks every representative
+        # of every coset and raises InvariantError on a disagreement, so
+        # reading it is the check.
         for name in ["C(4)", "C(6)", "S(3)", "Q8", "D(4)", "Dic(3)", "M16"]:
             p = pair_of(name)
             assert len(p.pairing) == len(p.quotient.cosets)
@@ -281,3 +283,36 @@ def test_verify_checks_each_found_witness_once(monkeypatch):
     assert len(found) == 36
     assert len(verified) == len(found)
     assert all(v is f for v, f in zip(verified, found))
+
+
+def _count_pairing_builds(monkeypatch) -> list[str]:
+    """Wrap ``coset_autocommutator`` in every package namespace; log each call's group."""
+    calls = []
+    real = automorphisms.coset_autocommutator
+
+    def counted(G, coset, alpha):
+        calls.append(G.label())
+        return real(G, coset, alpha)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "autodegree" or name.startswith("autodegree."):
+            if getattr(mod, "coset_autocommutator", None) is real:
+                monkeypatch.setattr(mod, "coset_autocommutator", counted)
+    return calls
+
+
+class TestPairingAfterCaps:
+    """A pair that a witness-search cap refuses never builds its coset pairing."""
+
+    def test_aut_cap_refusal_builds_no_pairing(self, monkeypatch, capsys):
+        calls = _count_pairing_builds(monkeypatch)
+        assert cli.main(["isoclinic", "E(2,4)", "E(2,4)"]) == 3
+        assert "20160" in capsys.readouterr().err
+        assert calls == []
+
+    def test_quotient_cap_skip_in_scan_builds_no_pairing(self, monkeypatch):
+        calls = _count_pairing_builds(monkeypatch)
+        report = run_scan("isoclinism", max_order=24)
+        assert any(w.startswith("S(4): skipped") for w in report.warnings)
+        assert "S(4)" not in calls
+        assert "D(4)" in calls  # pairs within the caps still build theirs
