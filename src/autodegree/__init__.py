@@ -13,16 +13,13 @@ from .automorphisms import (
     Automorphism,
     SubgroupAction,
     autocentre,
-    autocommutator,
     autocommutator_set,
     autocommutator_subgroup,
     compute_aut,
     compute_inn,
-    conjugacy_class,
     fixed_subgroup,
     orbit,
     orbits_on_subgroup,
-    pointwise_stabilizer,
     stabilizer,
     trivial_stabilizer_set,
 )
@@ -63,7 +60,6 @@ from .groups import (
     SizeCapError,
     SubgroupSet,
     TableParseError,
-    center,
     direct_product,
     enumerate_subgroups,
     find_isomorphism,
@@ -80,10 +76,8 @@ from .groups import (
 from .isoclinism import (
     IsoclinismWitness,
     autocommutator_pairing,
-    check_equal_degree,
     decide_autoisoclinism,
     find_autoisoclinism,
-    invert_witness,
     make_pair,
     verify_witness,
 )

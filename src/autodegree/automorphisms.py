@@ -40,22 +40,8 @@ class Automorphism:
     parent: GroupTable
     image: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        self.parent.check_element(x)
-        return self.image[x]
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.image))
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self applied after other."""
-        if other.parent != self.parent:
-            raise ParentMismatchError("cannot compose automorphisms of different groups")
-        return Automorphism(self.parent, compose_perms(self.image, other.image))
-
-    def inverse(self) -> "Automorphism":
-        hom = GroupHom(self.parent, self.parent, self.image)
-        return Automorphism(self.parent, hom.inverse().image)
 
     def validate(self) -> None:
         if sorted(self.image) != list(self.parent.elements()):
@@ -112,15 +98,6 @@ class AutGroup:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def identity(self) -> Automorphism:
-        return self.members[0]
 
     @cached_property
     def orbit_of(self) -> tuple["ActionOrbit", ...]:
@@ -213,14 +190,6 @@ def compute_inn(G: GroupTable) -> AutGroup:
     return AutGroup(G, tuple(Automorphism(G, img) for img in sorted(images)))
 
 
-def autocommutator(G: GroupTable, x: int, alpha: Automorphism) -> int:
-    """x^-1 * alpha(x): how far alpha moves x."""
-    if alpha.parent != G:
-        raise ParentMismatchError("automorphism belongs to a different group")
-    G.check_element(x)
-    return G.table[G.inverses[x]][alpha.image[x]]
-
-
 @dataclass(frozen=True)
 class ActionOrbit:
     """One orbit of the automorphism action, with its smallest member first."""
@@ -252,12 +221,6 @@ def stabilizer(A: AutGroup, x: int) -> AutGroup:
     """Members of A fixing x; a subgroup of A, in the inherited order."""
     A.parent.check_element(x)
     return AutGroup(A.parent, tuple(a for a in A.members if a.image[x] == x))
-
-
-def pointwise_stabilizer(H: SubgroupSet, A: AutGroup) -> AutGroup:
-    """Members of A fixing every element of H."""
-    ms = tuple(a for a in A.members if all(a.image[x] == x for x in H.members))
-    return AutGroup(A.parent, ms)
 
 
 def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
@@ -406,8 +369,3 @@ def trivial_stabilizer_set(H: SubgroupSet, A: AutGroup) -> tuple[int, ...]:
     carrying the literal value).
     """
     return A.action_on(H).only_identity
-
-
-def conjugacy_class(G: GroupTable, x: int) -> ActionOrbit:
-    """The conjugacy class of x, as the orbit under inner automorphisms."""
-    return orbit(compute_inn(G), x)

@@ -120,7 +120,9 @@ def cmd_isoclinic(args) -> int:
     g1, h1 = parse_pair_spec(args.pair1)
     g2, h2 = parse_pair_spec(args.pair2)
     p1 = make_pair(g1, h1)
-    p2 = make_pair(g2, h2)
+    # Equal tables under equal labels share Aut, so it is computed once.
+    same_group = g2 == g1 and g2.label() == g1.label()
+    p2 = make_pair(g2, h2, auts=p1.auts if same_group else None)
     kv = args.format == "kv"
     lines: list[str] = []
     if kv:

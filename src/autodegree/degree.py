@@ -73,16 +73,6 @@ def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
     return total / H.size
 
 
-def orbit_count_ratio(H: SubgroupSet, A: AutGroup) -> Fraction:
-    """Distinct member orbits over |H|.
-
-    Agrees with :func:`pr_via_orbits` exactly when every orbit of a member
-    of H stays inside H; otherwise the two can differ and the difference is
-    surfaced as a report finding.
-    """
-    return Fraction(len(orbits_on_subgroup(A, H)), H.size)
-
-
 def pr_commuting(H: SubgroupSet) -> Fraction:
     """Probability that a member of H commutes with an element of the parent."""
     return Fraction(H.commuting_pairs, H.size * H.parent.order)

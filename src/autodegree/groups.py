@@ -415,13 +415,6 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 
 
-def center(G: GroupTable) -> SubgroupSet:
-    """Elements commuting with everything."""
-    t = G.table
-    zs = tuple(z for z in G.elements() if all(t[z][g] == t[g][z] for g in G.elements()))
-    return SubgroupSet(G, zs)
-
-
 def is_normal(G: GroupTable, N: SubgroupSet, in_: SubgroupSet) -> bool:
     """True iff k*n*k^-1 stays in N for every k in the ambient subgroup."""
     _require_same_parent(G, N)
@@ -448,9 +441,6 @@ class GroupHom:
     target: GroupTable
     image: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.image[a]
-
     def is_bijective(self) -> bool:
         return (
             len(self.image) == self.target.order
@@ -471,14 +461,6 @@ class GroupHom:
             for b in self.source.elements():
                 if img[s[a][b]] != t[img[a]][img[b]]:
                     raise InvariantError(f"not a homomorphism at ({a}, {b})")
-
-    def inverse(self) -> "GroupHom":
-        if not self.is_bijective():
-            raise PreconditionError("only bijective homomorphisms can be inverted")
-        inv = [0] * len(self.image)
-        for a, y in enumerate(self.image):
-            inv[y] = a
-        return GroupHom(self.target, self.source, tuple(inv))
 
 
 def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:

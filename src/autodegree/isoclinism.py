@@ -121,40 +121,45 @@ def _derive_beta(
     return tuple(partial[x] for x in range(g1.order))
 
 
+def cap_refusal(P: SubgroupAction, aut_cap: int, quotient_cap: int) -> Optional[str]:
+    """Why the witness-search caps refuse pair P, or None when they admit it.
+
+    |Aut| is tested first, so a pair over the aut cap never builds its quotient.
+    """
+    if P.auts.size > aut_cap:
+        return f"|Aut| = {P.auts.size} over cap {aut_cap}"
+    if P.quotient.group.order > quotient_cap:
+        return f"quotient order {P.quotient.group.order} over cap {quotient_cap}"
+    return None
+
+
 def find_autoisoclinism(
     P1: SubgroupAction,
     P2: SubgroupAction,
     aut_cap: int = AUT_CAP,
     quotient_cap: int = QUOTIENT_CAP,
-    fast_reject: bool = True,
 ) -> Optional[IsoclinismWitness]:
     """Search for an autoisoclinism witness; None after exhausting the space.
 
     Deterministic: gamma candidates (between the automorphism groups as
     abstract groups) and psi candidates (between the quotients) are
     enumerated in lexicographic generator-image order and the first triple
-    whose derived beta closes the diagram wins. ``fast_reject`` skips the
-    search when the quotient, automorphism group or commutator sizes
-    differ; disabling it is only useful for validating the rejections.
+    whose derived beta closes the diagram wins. A pair refused by
+    :func:`cap_refusal` raises :class:`SizeCapError`. The search is skipped
+    when the quotient, automorphism group or commutator sizes differ: psi,
+    gamma and beta are bijections between those groups, so no witness
+    exists when any of the three pairs of orders differs.
     """
     for P, which in ((P1, "first"), (P2, "second")):
-        if P.auts.size > aut_cap:
-            raise SizeCapError(
-                f"automorphism group of the {which} pair has order {P.auts.size}, "
-                f"over the witness-search cap {aut_cap}"
-            )
-        if P.quotient.group.order > quotient_cap:
-            raise SizeCapError(
-                f"quotient of the {which} pair has order {P.quotient.group.order}, "
-                f"over the witness-search cap {quotient_cap}"
-            )
-    if fast_reject:
-        if (
-            P1.quotient.group.order != P2.quotient.group.order
-            or P1.auts.size != P2.auts.size
-            or P1.commutator_subgroup.size != P2.commutator_subgroup.size
-        ):
-            return None
+        refusal = cap_refusal(P, aut_cap, quotient_cap)
+        if refusal is not None:
+            raise SizeCapError(f"witness search refuses the {which} pair {P.label()}: {refusal}")
+    if (
+        P1.quotient.group.order != P2.quotient.group.order
+        or P1.auts.size != P2.auts.size
+        or P1.commutator_subgroup.size != P2.commutator_subgroup.size
+    ):
+        return None
     psis = tuple(iter_isomorphisms(P1.quotient.group, P2.quotient.group))
     if not psis:
         return None
@@ -211,37 +216,6 @@ def verify_witness(
     return True, None
 
 
-def invert_witness(witness: IsoclinismWitness) -> IsoclinismWitness:
-    """The reverse witness, for the symmetry of the relation."""
-    return IsoclinismWitness(
-        psi=witness.psi.inverse(),
-        gamma=witness.gamma.inverse(),
-        beta=witness.beta.inverse(),
-    )
-
-
-def _equal_degree(P1: SubgroupAction, P2: SubgroupAction) -> BoundCheck:
-    return BoundCheck(
-        "isoclinic_equal_degree",
-        pr_definition(P1.subgroup, P1.auts),
-        pr_definition(P2.subgroup, P2.auts),
-        "equal",
-    )
-
-
-def check_equal_degree(
-    P1: SubgroupAction, P2: SubgroupAction, witness: IsoclinismWitness
-) -> BoundCheck:
-    """Autoisoclinic pairs must have exactly equal degrees.
-
-    Refuses a witness that does not verify with :class:`PreconditionError`.
-    """
-    ok, why = verify_witness(P1, P2, witness)
-    if not ok:
-        raise PreconditionError(f"witness does not verify: {why}")
-    return _equal_degree(P1, P2)
-
-
 def decide_autoisoclinism(
     P1: SubgroupAction, P2: SubgroupAction, aut_cap: int = AUT_CAP, quotient_cap: int = QUOTIENT_CAP
 ) -> tuple[Optional[IsoclinismWitness], Optional[str], Optional[BoundCheck]]:
@@ -256,4 +230,7 @@ def decide_autoisoclinism(
     if witness is None:
         return None, None, None
     ok, why = verify_witness(P1, P2, witness)
-    return witness, why, _equal_degree(P1, P2) if ok else None
+    if not ok:
+        return witness, why, None
+    pr1, pr2 = pr_definition(P1.subgroup, P1.auts), pr_definition(P2.subgroup, P2.auts)
+    return witness, None, BoundCheck("isoclinic_equal_degree", pr1, pr2, "equal")

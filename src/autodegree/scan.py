@@ -17,7 +17,7 @@ from . import degree as deg
 from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
 from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups
-from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
+from .isoclinism import AUT_CAP, QUOTIENT_CAP, cap_refusal, decide_autoisoclinism, make_pair
 from .reporting import describe_check, describe_equality, describe_equivalence
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
@@ -245,17 +245,11 @@ class _Scan:
     def isoclinism(self, entries: list[tuple[CatalogEntry, object]]) -> None:
         pairs = []
         for entry, A in entries:
-            if A.size > self.aut_cap:
-                self.report.warnings.append(
-                    f"{entry.name}: skipped in isoclinism suite "
-                    f"(|Aut| = {A.size} over cap {self.aut_cap})"
-                )
-                continue
             pair = make_pair(entry.group, auts=A)
-            if pair.quotient.group.order > self.quotient_cap:
+            refusal = cap_refusal(pair, self.aut_cap, self.quotient_cap)
+            if refusal is not None:
                 self.report.warnings.append(
-                    f"{entry.name}: skipped in isoclinism suite "
-                    f"(quotient order {pair.quotient.group.order} over cap {self.quotient_cap})"
+                    f"{entry.name}: skipped in isoclinism suite ({refusal})"
                 )
                 continue
             pairs.append((entry, pair))

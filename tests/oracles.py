@@ -1,7 +1,10 @@
 """Brute-force reference computations used to pin expected test values.
 
-Everything here favors the most direct computation over speed, and shares
-no code with the package under test beyond reading plain Cayley tables.
+They cover automorphisms, degrees, subgroups and double cosets, orbits,
+autocommutators, the autocentre, the centre (:func:`brute_center`) and
+condition (d) of the equivalence. Everything here favors the most direct
+computation over speed, and shares no code with the package under test
+beyond reading plain Cayley tables.
 The one exception is :func:`brute_condition_d`, which keeps an older route
 of the package itself as the reference for a newer one.
 """
@@ -55,6 +58,12 @@ def brute_commuting_pr(table, h_members) -> Fraction:
     n = len(table)
     hits = sum(1 for x in h_members for y in range(n) if table[x][y] == table[y][x])
     return Fraction(hits, len(h_members) * n)
+
+
+def brute_center(table) -> tuple[int, ...]:
+    """Elements commuting with every element, by comparing both products."""
+    n = len(table)
+    return tuple(z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n)))
 
 
 def brute_inverse(table, a: int) -> int:

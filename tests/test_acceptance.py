@@ -21,7 +21,7 @@ from autodegree.degree import (
 )
 from autodegree.groups import enumerate_subgroups, subgroup_closure, whole_subgroup
 from autodegree.isoclinism import (
-    check_equal_degree,
+    decide_autoisoclinism,
     find_autoisoclinism,
     make_pair,
     verify_witness,
@@ -201,20 +201,18 @@ def test_criterion_7_isoclinism():
     witnesses = 0
     for i, (n1, p1) in enumerate(entries):
         for n2, p2 in entries[i + 1:]:
-            w = find_autoisoclinism(p1, p2, aut_cap=48, quotient_cap=24)
+            w, _, degrees = decide_autoisoclinism(p1, p2, aut_cap=48, quotient_cap=24)
             if w is None:
                 continue
-            verified, why = verify_witness(p1, p2, w)
-            equal = check_equal_degree(p1, p2, w).holds
-            ok = ok and verified and equal
+            ok = ok and degrees is not None and degrees.holds
             witnesses += 1
     p3 = make_pair(catalog_build("C(3)"))
     p6 = make_pair(catalog_build("C(6)"))
-    w36 = find_autoisoclinism(p3, p6)
+    w36, _, degrees36 = decide_autoisoclinism(p3, p6)
     ok = ok and pr_definition(p3.subgroup, p3.auts) == Fraction(2, 3)
     ok = ok and pr_definition(p6.subgroup, p6.auts) == Fraction(2, 3)
     if w36 is not None:
-        ok = ok and check_equal_degree(p3, p6, w36).holds
+        ok = ok and degrees36 is not None and degrees36.holds
     report(7, ok, f"reflexive witnesses for {reflexive} entries with |Aut| <= 48 "
                   f"(skipped over-cap: {skipped}); {witnesses} cross-pair witnesses "
                   f"all verified with equal degrees; (Z3,Z3)~(Z6,Z6) terminated "

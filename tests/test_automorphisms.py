@@ -11,16 +11,14 @@ from autodegree.automorphisms import (
     ActionOrbit,
     AutGroup,
     autocentre,
-    autocommutator,
     autocommutator_set,
     autocommutator_subgroup,
     compute_aut,
+    coset_autocommutator,
     compute_inn,
-    conjugacy_class,
     fixed_subgroup,
     orbit,
     orbits_on_subgroup,
-    pointwise_stabilizer,
     stabilizer,
     trivial_stabilizer_set,
 )
@@ -28,7 +26,6 @@ from autodegree.groups import (
     InvariantError,
     ParentMismatchError,
     SizeCapError,
-    center,
     iter_isomorphisms,
     subgroup_closure,
     trivial_subgroup,
@@ -112,7 +109,7 @@ class TestComputeAut:
         assert t.order == 4
         for i, x in enumerate(a.members):
             for j, y in enumerate(a.members):
-                assert a.members[t.table[i][j]].image == x.compose(y).image
+                assert a.members[t.table[i][j]].image == tuple(x.image[k] for k in y.image)
 
 
 class TestComputeInn:
@@ -130,7 +127,7 @@ class TestComputeInn:
         g = catalog_build(name)
         inn = compute_inn(g)
         aut = compute_aut(g)
-        assert inn.size == g.order // center(g).size
+        assert inn.size == g.order // len(oracles.brute_center(g.table))
         aut_images = {m.image for m in aut.members}
         assert all(m.image in aut_images for m in inn.members)
 
@@ -139,25 +136,25 @@ class TestAutocommutator:
     def test_identity_automorphism_gives_identity(self):
         g, a = aut_of("C(4)")
         for x in g.elements():
-            assert autocommutator(g, x, a.identity()) == 0
+            assert coset_autocommutator(g, (x,), a.members[0]) == 0
 
     def test_z4_inversion(self):
         g, a = aut_of("C(4)")
         inversion = a.members[1]
         assert inversion.image == (0, 3, 2, 1)
-        assert autocommutator(g, 1, inversion) == 2
+        assert coset_autocommutator(g, (1,), inversion) == 2
 
     def test_fixed_points_give_identity(self):
         g, a = aut_of("C(4)")
         core = autocentre(whole_subgroup(g), a)
         for x in core.members:
             for alpha in a.members:
-                assert autocommutator(g, x, alpha) == 0
+                assert coset_autocommutator(g, (x,), alpha) == 0
 
     def test_parent_mismatch(self):
         g, a = aut_of("C(4)")
         with pytest.raises(ParentMismatchError):
-            autocommutator(cyclic(5), 1, a.members[1])
+            coset_autocommutator(cyclic(5), (1,), a.members[1])
 
     def test_fixed_subgroup_refuses_a_foreign_automorphism(self):
         # Every index of C(4) is in range for an automorphism of C(8), so
@@ -230,7 +227,7 @@ class TestFixedStructures:
     def test_fixed_subgroup_identity(self):
         g, a = aut_of("S(3)")
         h = whole_subgroup(g)
-        assert fixed_subgroup(h, a.identity()).members == h.members
+        assert fixed_subgroup(h, a.members[0]).members == h.members
 
     def test_fixed_subgroup_z4_inversion(self):
         g, a = aut_of("C(4)")
@@ -263,14 +260,7 @@ class TestFixedStructures:
             g, a = aut_of(name)
             for h in (whole_subgroup(g), trivial_subgroup(g)):
                 core = autocentre(h, a)
-                assert core.member_set <= (h.member_set & center(g).member_set)
-
-    def test_pointwise_stabilizer(self):
-        g, a = aut_of("C(4)")
-        assert pointwise_stabilizer(trivial_subgroup(g), a).size == a.size
-        assert pointwise_stabilizer(whole_subgroup(g), a).size == 1
-        two = subgroup_closure(g, {2})
-        assert pointwise_stabilizer(two, a).size == a.size
+                assert core.member_set <= (h.member_set & set(oracles.brute_center(g.table)))
 
 
 class TestAutocommutatorSets:
@@ -328,21 +318,21 @@ class TestConjugacyClasses:
     def test_abelian_singletons(self):
         g = cyclic(5)
         for x in g.elements():
-            assert conjugacy_class(g, x).members == (x,)
+            assert orbit(compute_inn(g), x).members == (x,)
 
     def test_s3_transposition_class(self):
         g = catalog_build("S(3)")
-        assert conjugacy_class(g, 1).members == (1, 2, 5)
+        assert orbit(compute_inn(g), 1).members == (1, 2, 5)
 
     def test_class_inside_aut_orbit(self):
         for name in ["S(3)", "Q8", "D(4)", "A(4)"]:
             g, a = aut_of(name)
             for x in g.elements():
-                assert set(conjugacy_class(g, x).members) <= set(orbit(a, x).members)
+                assert set(orbit(compute_inn(g), x).members) <= set(orbit(a, x).members)
 
     def test_classes_partition(self):
         g = catalog_build("D(4)")
-        reps = {conjugacy_class(g, x).members for x in g.elements()}
+        reps = {orbit(compute_inn(g), x).members for x in g.elements()}
         flat = sorted(e for ms in reps for e in ms)
         assert flat == list(g.elements())
 
@@ -352,11 +342,6 @@ class TestAutomorphismBasics:
         g, a = aut_of("C(4)")
         assert a.members[0].cycle_notation() == "id"
         assert a.members[1].cycle_notation() == "(1 3)"
-
-    def test_compose_inverse_roundtrip(self):
-        g, a = aut_of("S(3)")
-        for m in a.members:
-            assert m.compose(m.inverse()).is_identity()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())

@@ -190,6 +190,12 @@ class TestIsoclinic:
     def test_witness_cap_flag(self, capsys):
         code, _, err = run(capsys, "isoclinic", "C(7)", "C(7)", "--witness-cap", "2")
         assert code == 3
+        assert "quotient order 7 over cap 2" in err
+
+    def test_default_quotient_cap_names_the_numbers(self, capsys):
+        code, _, err = run(capsys, "isoclinic", "S(4)", "S(4)")
+        assert code == 3
+        assert "24" in err and "16" in err
 
     def test_missing_args_usage(self, capsys):
         code, _, _ = run(capsys, "isoclinic", "C(4)")

@@ -18,23 +18,52 @@ from autodegree.groups import (
     PreconditionError,
     SizeCapError,
     find_isomorphism,
+    iter_isomorphisms,
     subgroup_closure,
     whole_subgroup,
 )
 from autodegree.isoclinism import (
+    AUT_CAP,
+    QUOTIENT_CAP,
     IsoclinismWitness,
     autocommutator_pairing,
-    check_equal_degree,
+    cap_refusal,
+    decide_autoisoclinism,
     find_autoisoclinism,
-    invert_witness,
     make_pair,
     verify_witness,
 )
-from autodegree.scan import run_scan
+from autodegree.scan import default_catalog, run_scan
 
 
 def pair_of(name: str):
     return make_pair(catalog_build(name))
+
+
+def any_beta_derives(P1, P2) -> bool:
+    """Whether some (gamma, psi) derives a beta, searched with no size gate."""
+    psis = list(iter_isomorphisms(P1.quotient.group, P2.quotient.group))
+    return any(
+        isoclinism._derive_beta(P1, P2, psi.image, gamma.image) is not None
+        for gamma in iter_isomorphisms(P1.auts.abstract_group, P2.auts.abstract_group)
+        for psi in psis
+    )
+
+
+def inverted(hom: GroupHom) -> GroupHom:
+    image = [0] * len(hom.image)
+    for a, y in enumerate(hom.image):
+        image[y] = a
+    return GroupHom(hom.target, hom.source, tuple(image))
+
+
+def size_gate_rejects(P1, P2) -> bool:
+    """The search's shortcut: the quotient, Aut or [H, A] orders differ."""
+    return (
+        P1.quotient.group.order != P2.quotient.group.order
+        or P1.auts.size != P2.auts.size
+        or P1.commutator_subgroup.size != P2.commutator_subgroup.size
+    )
 
 
 class TestPairing:
@@ -48,14 +77,14 @@ class TestPairing:
     def test_identity_automorphism_maps_every_coset_to_identity(self):
         p = pair_of("C(4)")
         for c in range(len(p.quotient.cosets)):
-            assert autocommutator_pairing(p, c, p.auts.identity()) == 0
+            assert autocommutator_pairing(p, c, p.auts.members[0]) == 0
 
     def test_automorphisms_without_inn_are_refused_up_front(self):
         # A = {id, (2 5)(3 4)} is closed, but it misses most of Inn(S(3)); its
         # autocentre {0, 1} is not normal, so without the check the quotient fails.
         s3 = catalog_build("S(3)")
         swap = Automorphism(s3, (0, 1, 5, 4, 3, 2))
-        A = AutGroup(s3, (compute_aut(s3).identity(), swap))
+        A = AutGroup(s3, (compute_aut(s3).members[0], swap))
         A.validate()
         with pytest.raises(PreconditionError, match=r"Inn\(G\)"):
             make_pair(s3, auts=A)
@@ -143,8 +172,7 @@ class TestWitnessSearch:
         for i, pa in enumerate(pairs):
             for pb in pairs[i + 1:]:
                 fast = find_autoisoclinism(pa, pb)
-                slow = find_autoisoclinism(pa, pb, fast_reject=False)
-                assert (fast is None) == (slow is None)
+                assert (fast is None) == (not any_beta_derives(pa, pb))
 
     def test_z3_z6_witness_and_degrees(self):
         p1 = pair_of("C(3)")
@@ -153,7 +181,7 @@ class TestWitnessSearch:
         assert w is not None
         ok, why = verify_witness(p1, p2, w)
         assert ok, why
-        check = check_equal_degree(p1, p2, w)
+        _, _, check = decide_autoisoclinism(p1, p2)
         assert check.holds
         assert check.value == Fraction(2, 3) and check.bound == Fraction(2, 3)
 
@@ -161,11 +189,28 @@ class TestWitnessSearch:
         p1 = pair_of("C(3)")
         p2 = pair_of("C(6)")
         w = find_autoisoclinism(p1, p2)
-        back = invert_witness(w)
+        back = IsoclinismWitness(
+            psi=inverted(w.psi), gamma=inverted(w.gamma), beta=inverted(w.beta)
+        )
         ok, why = verify_witness(p2, p1, back)
         assert ok, why
         forward = find_autoisoclinism(p2, p1)
         assert forward is not None
+
+    def test_size_gate_is_sound_on_the_catalog(self):
+        # Every default-catalog group the default caps admit, self-pairs
+        # included: wherever the size gate answers None, the ungated search
+        # finds no (gamma, psi) that derives a beta either.
+        pairs = [make_pair(e.group) for e in default_catalog()]
+        pairs = [p for p in pairs if cap_refusal(p, AUT_CAP, QUOTIENT_CAP) is None]
+        assert len(pairs) == 30
+        gated = [
+            (p1, p2) for i, p1 in enumerate(pairs) for p2 in pairs[i:] if size_gate_rejects(p1, p2)
+        ]
+        assert len(gated) == 428
+        for p1, p2 in gated:
+            assert find_autoisoclinism(p1, p2) is None
+            assert not any_beta_derives(p1, p2), (p1.label(), p2.label())
 
     @pytest.mark.parametrize("spec1, spec2", [
         (("C(2)×C(2)", [1]), ("S(3)", [1])),
@@ -183,8 +228,8 @@ class TestWitnessSearch:
         assert find_isomorphism(p1.quotient.group, p2.quotient.group) is not None
         assert find_isomorphism(p1.auts.abstract_group, p2.auts.abstract_group) is not None
         assert p1.commutator_subgroup.size != p2.commutator_subgroup.size
-        assert find_autoisoclinism(p1, p2, fast_reject=False) is None
-        assert find_autoisoclinism(p2, p1, fast_reject=False) is None
+        assert not any_beta_derives(p1, p2)
+        assert not any_beta_derives(p2, p1)
 
     @pytest.mark.parametrize("label", ["psi", "gamma"])
     def test_bad_psi_or_gamma_named(self, label):
@@ -201,19 +246,12 @@ class TestWitnessSearch:
             assert not ok
             assert why.startswith(f"{label}: {defect}"), why
 
-    def test_check_equal_degree_refuses_a_bad_witness(self):
-        p = pair_of("S(3)")
-        w = find_autoisoclinism(p, p)
-        bad = dataclasses.replace(w, psi=GroupHom(w.psi.source, w.psi.target, (0,) * 6))
-        with pytest.raises(PreconditionError, match="psi: not a bijection"):
-            check_equal_degree(p, p, bad)
-
     def test_unequal_degree_pairs_find_nothing(self):
         # Pr(C4) = 3/4 but Pr(C5) = 2/5; sizes also differ, but even an
         # unrestricted search must come back empty.
         p1 = pair_of("C(4)")
         p2 = pair_of("C(5)")
-        assert find_autoisoclinism(p1, p2, fast_reject=False) is None
+        assert not any_beta_derives(p1, p2)
 
     def test_subgroup_pairs(self):
         s3 = catalog_build("S(3)")
@@ -222,21 +260,19 @@ class TestWitnessSearch:
         p1 = make_pair(s3, a3, auts=a)
         p2 = pair_of("C(3)")
         # (A3, S3) vs (Z3, Z3): both quotients C(3), both degrees 2/3.
-        w = find_autoisoclinism(p1, p2)
+        w, why, check = decide_autoisoclinism(p1, p2)
         if w is not None:
-            ok, why = verify_witness(p1, p2, w)
-            assert ok, why
-            assert check_equal_degree(p1, p2, w).holds
+            assert why is None, why
+            assert check.holds
         assert pr_definition(p1.subgroup, p1.auts) == pr_definition(p2.subgroup, p2.auts)
 
     def test_reflexive_across_catalog_sample(self):
         for name in ["C(1)", "C(2)", "C(5)", "C(6)", "S(3)", "Q8", "D(4)", "Dic(3)"]:
             p = pair_of(name)
-            w = find_autoisoclinism(p, p)
+            w, why, check = decide_autoisoclinism(p, p)
             assert w is not None, name
-            ok, why = verify_witness(p, p, w)
-            assert ok, (name, why)
-            assert check_equal_degree(p, p, w).holds
+            assert why is None, (name, why)
+            assert check.holds
 
 
 class TestCaps:
@@ -250,6 +286,37 @@ class TestCaps:
         p = pair_of("C(7)")  # quotient has order 7
         with pytest.raises(SizeCapError):
             find_autoisoclinism(p, p, quotient_cap=2)
+
+    def test_one_refusal_wording_for_search_and_scan(self):
+        assert cap_refusal(pair_of("C(7)"), AUT_CAP, QUOTIENT_CAP) is None
+        assert cap_refusal(pair_of("C(4)"), 1, QUOTIENT_CAP) == "|Aut| = 2 over cap 1"
+        assert cap_refusal(pair_of("C(7)"), AUT_CAP, 2) == "quotient order 7 over cap 2"
+        report = run_scan("isoclinism", max_order=24)
+        assert report.warnings == [
+            "C(2)×C(2)×C(2): skipped in isoclinism suite (|Aut| = 168 over cap 48)",
+            "S(4): skipped in isoclinism suite (quotient order 24 over cap 16)",
+        ]
+
+
+def test_isoclinic_computes_aut_once_per_distinct_group(monkeypatch, capsys):
+    # Equal specs share one Aut; different groups each need their own.
+    calls = []
+    real = automorphisms.compute_aut
+
+    def counted(G, *args, **kwargs):
+        calls.append(G.label())
+        return real(G, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "autodegree" or name.startswith("autodegree."):
+            if getattr(mod, "compute_aut", None) is real:
+                monkeypatch.setattr(mod, "compute_aut", counted)
+    assert cli.main(["isoclinic", "E(2,4)", "E(2,4)"]) == 3
+    assert calls == ["E(2,4)"]
+    calls.clear()
+    assert cli.main(["isoclinic", "S(3)", "D(3)"]) == 0
+    assert calls == ["S(3)", "D(3)"]
+    capsys.readouterr()
 
 
 def test_verify_checks_each_found_witness_once(monkeypatch):
