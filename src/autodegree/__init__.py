@@ -8,7 +8,6 @@ and decides autoisoclinism between pairs (H, G) by witness search.
 """
 
 from .automorphisms import (
-    ActionOrbit,
     AutGroup,
     Automorphism,
     SubgroupAction,
@@ -75,7 +74,6 @@ from .groups import (
 )
 from .isoclinism import (
     IsoclinismWitness,
-    autocommutator_pairing,
     decide_autoisoclinism,
     find_autoisoclinism,
     make_pair,

@@ -20,7 +20,6 @@ from .groups import (
     InvariantError,
     ParentMismatchError,
     Quotient,
-    SizeCapError,
     SubgroupSet,
     _require_same_parent,
     closure_witness,
@@ -28,6 +27,7 @@ from .groups import (
     iter_isomorphisms,
     permutation_table,
     quotient_group,
+    refuse_over_cap,
     subgroup_as_group,
     subgroup_closure,
 )
@@ -100,11 +100,10 @@ class AutGroup:
         return len(self.members)
 
     @cached_property
-    def orbit_of(self) -> tuple["ActionOrbit", ...]:
-        """The orbit of each element, indexed by element: the set of its images."""
+    def orbit_of(self) -> tuple[tuple[int, ...], ...]:
+        """The orbit of each element, indexed by element: its images, sorted, least first."""
         columns = zip(*(a.image for a in self.members))
-        orbits = (tuple(sorted(set(c))) for c in columns)
-        return tuple(ActionOrbit(ms[0], ms) for ms in orbits)
+        return tuple(tuple(sorted(set(c))) for c in columns)
 
     @cached_property
     def fixer_count(self) -> tuple[int, ...]:
@@ -168,10 +167,7 @@ def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     search bugs, closure under composition is then certified from a
     generating set (:func:`closure_witness`), in O(|A| log |A| n) steps.
     """
-    if G.order > cap:
-        raise SizeCapError(
-            f"automorphism search is capped at group order {cap}; this group has order {G.order}"
-        )
+    refuse_over_cap("automorphism search", G.order, cap)
     perms = sorted(h.image for h in iter_isomorphisms(G, G))
     group = AutGroup(G, tuple(Automorphism(G, p) for p in perms))
     if _composition_witness(G, group.members) is not None:
@@ -190,31 +186,19 @@ def compute_inn(G: GroupTable) -> AutGroup:
     return AutGroup(G, tuple(Automorphism(G, img) for img in sorted(images)))
 
 
-@dataclass(frozen=True)
-class ActionOrbit:
-    """One orbit of the automorphism action, with its smallest member first."""
-
-    representative: int
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def orbit(A: AutGroup, x: int) -> ActionOrbit:
+def orbit(A: AutGroup, x: int) -> tuple[int, ...]:
+    """The sorted members of orbit(x)."""
     A.parent.check_element(x)
     return A.orbit_of[x]
 
 
-def orbits_on_subgroup(A: AutGroup, H: SubgroupSet) -> list[ActionOrbit]:
+def orbits_on_subgroup(A: AutGroup, H: SubgroupSet) -> list[tuple[int, ...]]:
     """The distinct orbits of the members of H, ordered by representative.
 
     H need not be invariant under A, so an orbit may contain elements
     outside H; each orbit still appears once.
     """
-    seen = {A.orbit_of[x].representative: A.orbit_of[x] for x in H.members}
-    return [seen[r] for r in sorted(seen)]
+    return sorted({A.orbit_of[x] for x in H.members})
 
 
 def stabilizer(A: AutGroup, x: int) -> AutGroup:
@@ -273,7 +257,7 @@ class SubgroupAction:
     @cached_property
     def autocentre(self) -> SubgroupSet:
         H, orbits = self.subgroup, self.auts.orbit_of
-        fixed = tuple(x for x in H.members if orbits[x].size == 1)
+        fixed = tuple(x for x in H.members if len(orbits[x]) == 1)
         # When A fixes all of H, L is H itself and needs no second validation.
         return H if len(fixed) == H.size else SubgroupSet(H.parent, fixed)
 
@@ -282,7 +266,7 @@ class SubgroupAction:
         H, orbits = self.subgroup, self.auts.orbit_of
         t = H.parent.table
         invs = H.parent.inverses
-        return tuple(sorted({t[invs[x]][y] for x in H.members for y in orbits[x].members}))
+        return tuple(sorted({t[invs[x]][y] for x in H.members for y in orbits[x]}))
 
     @cached_property
     def commutator_subgroup(self) -> SubgroupSet:
@@ -293,7 +277,7 @@ class SubgroupAction:
         A = self.auts
         if A.size == 1:
             return ()
-        return tuple(x for x in self.subgroup.members if A.orbit_of[x].size == A.size)
+        return tuple(x for x in self.subgroup.members if len(A.orbit_of[x]) == A.size)
 
     @cached_property
     def pr(self) -> Fraction:

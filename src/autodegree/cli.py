@@ -14,21 +14,26 @@ from typing import Optional
 
 from . import automorphisms as am
 from . import degree as deg
-from .catalog import catalog_build
-from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, subgroup_closure, whole_subgroup
+from .catalog import catalog_build, catalog_order
+from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, refuse_over_cap, subgroup_closure, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
 
 
 def load_group(spec: str) -> GroupTable:
-    """A group from a file path (if it exists) or a catalog name."""
+    """A group from a file path (if it exists) or a catalog name.
+
+    Every command that loads a group computes its Aut, so a catalog name over
+    the automorphism-search cap is refused from its order, before any table.
+    """
     path = Path(spec)
     if path.exists():
         from .groups import parse_group_table
 
         g = parse_group_table(path.read_text(encoding="utf-8"))
         return GroupTable(g.table, name=path.name)
+    refuse_over_cap("automorphism search", catalog_order(spec))
     return catalog_build(spec)
 
 

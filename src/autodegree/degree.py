@@ -69,7 +69,7 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
 
 def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
     """Average of 1/|orbit(x)| over the members of H (orbit-stabilizer form)."""
-    total = sum((Fraction(1, orbit(A, x).size) for x in H.members), Fraction(0))
+    total = sum((Fraction(1, len(orbit(A, x))) for x in H.members), Fraction(0))
     return total / H.size
 
 
@@ -145,7 +145,7 @@ def degree_report(H: SubgroupSet, A: AutGroup) -> DegreeReport:
         size_commutator_subgroup=ksub.size,
         size_trivial_stabilizer=len(xset),
         orbit_count=len(orbs),
-        orbits=tuple(o.members for o in orbs),
+        orbits=tuple(orbs),
         h_equals_autocentre=core.size == H.size,
         findings=tuple(findings),
     )
@@ -312,7 +312,7 @@ def bound_lower_S(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     core, _, _ = _standing_assumptions(H, A)
     sset = autocommutator_set(H, A)
     cond = all(
-        frozenset(orbit(A, x).members) == _coset_times_set(H, x, sset)
+        frozenset(orbit(A, x)) == _coset_times_set(H, x, sset)
         for x in H.members
         if x not in core.member_set
     )
@@ -432,7 +432,7 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     except HypothesisError:
         return []
     outside = [x for x in H.members if x not in core.member_set]
-    if any(orbit(A, x).size != p for x in outside):
+    if any(len(orbit(A, x)) != p for x in outside):
         return []
     pr = pr_definition(H, A)
     checks = [BoundCheck("converse_degree", pr, _family(p, H, core), "equal", p=p, q=q)]
@@ -514,10 +514,10 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     outside = [x for x in H.members if x not in core.member_set]
     a_flag = pr_definition(H, A) == _family(ksub.size, H, core)
     orbs = A.orbit_of
-    b_flag = all(orbs[x].size == ksub.size for x in outside)
+    b_flag = all(len(orbs[x]) == ksub.size for x in outside)
     c_flag = (
         all(
-            frozenset(orbs[x].members) == _coset_times_set(H, x, ksub.members)
+            frozenset(orbs[x]) == _coset_times_set(H, x, ksub.members)
             for x in outside
         )
         and kset <= core.member_set

@@ -372,6 +372,12 @@ def _double_coset(G: GroupTable, gens: Sequence[int], g: int) -> set[int]:
     return seen
 
 
+def refuse_over_cap(search: str, order: int, cap: int = ORDER_CAP) -> None:
+    """Raise :class:`SizeCapError` when a group of this order is over the cap of ``search``."""
+    if order > cap:
+        raise SizeCapError(f"{search} is capped at group order {cap}; this group has order {order}")
+
+
 def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet]:
     """All subgroups of G, each exactly once, sorted by (order, members).
 
@@ -391,10 +397,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
     before, and K costs |K \\ G / K| - 1 closures instead of |G| - |K|.
     Exhaustive, hence the order cap.
     """
-    if G.order > cap:
-        raise SizeCapError(
-            f"subgroup enumeration is capped at group order {cap}; this group has order {G.order}"
-        )
+    refuse_over_cap("subgroup enumeration", G.order, cap)
     trivial = trivial_subgroup(G)
     found: dict[tuple[int, ...], SubgroupSet] = {trivial.members: trivial}
     frontier: list[tuple[SubgroupSet, tuple[int, ...]]] = [(trivial, ())]

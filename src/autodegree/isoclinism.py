@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import automorphisms as am
-from .automorphisms import AutGroup, Automorphism, SubgroupAction
+from .automorphisms import AutGroup, SubgroupAction
 from .degree import BoundCheck, pr_definition
 from .groups import (
     GroupError,
@@ -66,19 +66,6 @@ def make_pair(
             f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
         )
     return A.action_on(H)
-
-
-def autocommutator_pairing(P: SubgroupAction, coset_index: int, alpha: Automorphism) -> int:
-    """The pairing value [x, alpha] for coset ``coset_index``, as a parent index.
-
-    Recomputed from the definition, not read from ``P.pairing``, and checked
-    equal on every representative of the coset (see :func:`make_pair` for
-    why it always is); an automorphism of another group is refused.
-    """
-    cosets = P.quotient.cosets
-    if not 0 <= coset_index < len(cosets):
-        raise PreconditionError(f"no coset {coset_index} in a quotient of order {len(cosets)}")
-    return am.coset_autocommutator(P.subgroup.parent, cosets[coset_index], alpha)
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,8 @@ def verify_witness(
     Verifies that each of psi, gamma, beta is a bijective homomorphism,
     with :meth:`GroupHom.validate` and :meth:`GroupHom.is_bijective`, and
     that the square commutes on every (coset, automorphism) input, with
-    the pairing values recomputed through :func:`autocommutator_pairing`
-    from the definitions rather than read from the stored pairing. Returns
+    the pairing values recomputed by :func:`coset_autocommutator` from the
+    definitions rather than read from the stored pairing. Returns
     (ok, counterexample-or-None); a counterexample names the failing map
     as psi, gamma or beta.
     """
@@ -201,13 +188,14 @@ def verify_witness(
             return False, f"{label}: {exc}"
         if not hom.is_bijective():
             return False, f"{label}: not a bijection onto the target"
-    for c in range(len(P1.quotient.cosets)):
+    G1, G2 = P1.subgroup.parent, P2.subgroup.parent
+    for c, coset in enumerate(P1.quotient.cosets):
         for a, alpha in enumerate(P1.auts.members):
-            v1 = autocommutator_pairing(P1, c, alpha)
+            v1 = am.coset_autocommutator(G1, coset, alpha)
             lhs = witness.beta.image[P1.commutator_position[v1]]
-            c2 = witness.psi.image[c]
+            coset2 = P2.quotient.cosets[witness.psi.image[c]]
             alpha2 = P2.auts.members[witness.gamma.image[a]]
-            v2 = autocommutator_pairing(P2, c2, alpha2)
+            v2 = am.coset_autocommutator(G2, coset2, alpha2)
             rhs = P2.commutator_position[v2]
             if lhs != rhs:
                 return False, (

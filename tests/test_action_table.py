@@ -9,7 +9,7 @@ that corrupting either table or a record's degree breaks formula agreement
 (so no degree formula is derived from another), that a record refuses a
 foreign subgroup and that a scan validates few subgroups, and that
 relabeling the elements leaves every invariant unchanged, the five
-equivalence flags included.
+equivalence flags and every scan record included.
 """
 
 import contextlib
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import oracles
 from autodegree import cli, groups
 from autodegree.automorphisms import (
-    ActionOrbit,
     AutGroup,
     SubgroupAction,
     autocentre,
@@ -63,11 +62,11 @@ def assert_action_matches_brute(g, A, subgroups):
     auts = [a.image for a in A.members]
     orbits = {x: oracles.brute_orbit(table, auts, x) for x in g.elements()}
     for x in g.elements():
-        assert orbit(A, x) == ActionOrbit(orbits[x][0], orbits[x])
+        assert orbit(A, x) == orbits[x]
     for h in subgroups:
         hm = h.members
         distinct = sorted({orbits[x] for x in hm})
-        assert [o.members for o in orbits_on_subgroup(A, h)] == distinct
+        assert orbits_on_subgroup(A, h) == distinct
         assert autocentre(h, A).members == oracles.brute_autocentre(hm, auts)
         # With A trivial the literal set is all of H; the program returns it empty
         # so that it stays disjoint from the autocentre.
@@ -103,7 +102,7 @@ def test_tables_tally_images_on_member_sets_that_are_not_groups():
             A = AutGroup(g, subset)
             auts = [a.image for a in subset]
             for x in g.elements():
-                assert A.orbit_of[x].members == oracles.brute_orbit(g.table, auts, x)
+                assert A.orbit_of[x] == oracles.brute_orbit(g.table, auts, x)
                 assert A.fixer_count[x] == oracles.brute_fixed_pairs(g.table, (x,), auts)
 
 
@@ -122,8 +121,8 @@ def corrupted_report(field, corrupt):
 def test_corrupt_orbit_entry_breaks_formula_agreement():
     # The rotation r = 1 of D(4) has orbit {r, r^3}; add r^2 to it.
     def corrupt(orbits):
-        assert orbits[1].members == (1, 3)
-        return orbits[:1] + (ActionOrbit(1, (1, 2, 3)),) + orbits[2:]
+        assert orbits[1] == (1, 3)
+        return orbits[:1] + ((1, 2, 3),) + orbits[2:]
 
     honest, report = corrupted_report("orbit_of", corrupt)
     assert not report.formulas_agree()
@@ -264,9 +263,13 @@ def invariants(g):
     A = compute_aut(g)
     subgroups = enumerate_subgroups(g)
     reports = [(degree_report(h, A), equivalence_flags(h, A)) for h in subgroups]
+    # Every scan record but its subgroup label, which names elements.
+    scan = run_scan("all", max_order=g.order, catalog=(CatalogEntry(g.name, g),))
     return (
+        Counter((r.suite, r.name, r.status, r.value, r.bound, r.detail) for r in scan.records),
+        len(scan.findings),
         A.size,
-        Counter(o.size for o in orbits_on_subgroup(A, whole_subgroup(g))),
+        Counter(len(o) for o in orbits_on_subgroup(A, whole_subgroup(g))),
         Counter(h.size for h in subgroups),
         Counter(
             (r.size_h, r.pr_definition, r.size_autocentre, r.size_trivial_stabilizer,

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from autodegree.cli import main
+from autodegree.groups import GroupTable
 from autodegree.reporting import parse_kv
 
 
@@ -10,6 +13,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spy_tables(monkeypatch) -> list[int]:
+    """Record the order of every GroupTable constructed from here on."""
+    built = []
+    init = GroupTable.__init__
+
+    def counting(self, table, name=None):
+        built.append(len(table))
+        init(self, table, name)
+
+    monkeypatch.setattr(GroupTable, "__init__", counting)
+    return built
 
 
 class TestGroupsList:
@@ -200,3 +216,38 @@ class TestIsoclinic:
     def test_missing_args_usage(self, capsys):
         code, _, _ = run(capsys, "isoclinic", "C(4)")
         assert code == 2
+
+
+class TestOrderCapBeforeTables:
+    """A catalog name over the automorphism-search cap is refused from its order."""
+
+    @pytest.mark.parametrize("argv,order", [
+        (("compute", "--group", "C(60)×C(60)"), 3600),
+        (("compute", "--group", "C(5)×C(5)", "--subgroup", "all"), 25),
+        (("isoclinic", "C(60)×C(60)", "C(4)"), 3600),
+        (("isoclinic", "C(4)", "C(2)xD(16):whole"), 64),
+    ])
+    def test_refused_without_its_table(self, capsys, monkeypatch, argv, order):
+        built = spy_tables(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: automorphism search is capped at group order 24; "
+            f"this group has order {order}\n"
+        )
+        assert all(n <= 24 for n in built)
+
+    @pytest.mark.parametrize(
+        "name", ["E(9,1)", "S(5)", "Dic(4)", "C(2)×", "C(30)×S(5)", "C(30)xE(2,0)", "C(30×3)"],
+    )
+    def test_bad_names_still_exit_2_whatever_their_order(self, capsys, monkeypatch, name):
+        built = spy_tables(monkeypatch)
+        code, _, err = run(capsys, "compute", "--group", name)
+        assert (code, built) == (2, [])
+        assert "accepted grammar" in err
+
+    def test_at_the_cap_still_computes(self, capsys):
+        code, out, _ = run(capsys, "compute", "--group", "C(2)×C(3)×C(4)", "--format", "kv")
+        assert code == 0
+        assert "compute.group=C(2)×C(3)×C(4)" in out

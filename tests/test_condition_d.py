@@ -18,7 +18,6 @@ import pytest
 
 import oracles
 from autodegree.automorphisms import (
-    ActionOrbit,
     AutGroup,
     Automorphism,
     autocentre,
@@ -82,8 +81,8 @@ def test_corrupt_orbit_entry_moves_b_and_c_but_not_d():
 
     A = compute_aut(g, cap=64)
     orbits = A.orbit_of
-    assert orbits[1].members == (1, 3, 5, 7)
-    vars(A)["orbit_of"] = orbits[:1] + (ActionOrbit(1, (1, 3, 5)),) + orbits[2:]
+    assert orbits[1] == (1, 3, 5, 7)
+    vars(A)["orbit_of"] = orbits[:1] + ((1, 3, 5),) + orbits[2:]
     assert (autocentre(h, A), autocommutator_subgroup(h, A)) == (core, ksub)
     report = equivalent_conditions(h, A)
     assert not report.orbit_sizes_match
@@ -108,7 +107,7 @@ def test_isomorphism_test_alone_decides_d():
     A.validate()
     h = subgroup_closure(g, {4})
     assert h.members == (0, 4)
-    assert orbit(A, 4).members == (4, 5, 6, 7)
+    assert orbit(A, 4) == (4, 5, 6, 7)
     ksub = autocommutator_subgroup(h, A)
     assert ksub.members == (0, 1, 2, 3)
     assert find_isomorphism(subgroup_as_group(g, ksub)[0], cyclic(4)) is not None

@@ -1,5 +1,9 @@
 """Group core: parsing, catalog construction, and structural queries."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from autodegree.catalog import (
     CatalogNameError,
     alternating4,
     catalog_build,
+    catalog_order,
     cyclic,
     dicyclic3,
     dihedral,
@@ -126,7 +131,111 @@ class TestParsing:
         assert "inverse" in str(exc.value)
 
 
+@st.composite
+def table_texts(draw):
+    """An order line of at most 8 and rows of random tokens.
+
+    Half the draws have exactly n rows of n entries in range, so the axiom
+    checks decide them; the rest vary the row and entry counts, put in
+    tokens that are no entry, and may shuffle the order line among the rows.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    entry = st.integers(min_value=0, max_value=n - 1).map(str)
+    if draw(st.booleans()):
+        row = st.lists(entry, min_size=n, max_size=n).map(" ".join)
+        return "\n".join([str(n)] + draw(st.lists(row, min_size=n, max_size=n)))
+    token = st.one_of(
+        entry,
+        st.integers(min_value=-2, max_value=n + 2).map(str),
+        st.sampled_from(["x", "1.0", "#", "0x1", "", "٣"]),
+    )
+    row = st.lists(token, min_size=n - 1, max_size=n + 1).map(" ".join)
+    lines = [str(n)] + draw(st.lists(row, min_size=n - 1, max_size=n + 1))
+    return "\n".join(draw(st.permutations(lines)) if draw(st.booleans()) else lines)
+
+
+def parsed_or_refused(text):
+    """parse_group_table's result if it is a valid table; only its own errors may escape."""
+    try:
+        g = parse_group_table(text)
+    except (TableParseError, AxiomError):
+        return None
+    n = g.order
+    assert all(len(row) == n and all(0 <= e < n for e in row) for row in g.table)
+    assert all(g.table[0][a] == g.table[a][0] == a for a in range(n))
+    assert all(any(g.table[a][b] == 0 for b in range(n)) for a in range(n))
+    assert all(
+        g.table[g.table[a][b]][c] == g.table[a][g.table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    return g
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        parsed_or_refused(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_texts())
+    def test_order_line_and_random_rows(self, text):
+        parsed_or_refused(text)
+
+
+# sha256 of repr((name, table)) for 55 catalog names, recorded from the
+# hand-written tables that the law-built ones replaced.
+TABLE_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "catalog_tables.json").read_text(encoding="utf-8")
+)
+
+
 class TestCatalog:
+    @pytest.mark.parametrize("name", TABLE_DIGESTS)
+    def test_table_matches_recorded_digest(self, name):
+        g = catalog_build(name)
+        assert hashlib.sha256(repr((g.name, g.table)).encode()).hexdigest() == TABLE_DIGESTS[name]
+        assert catalog_order(name) == g.order
+
+    @pytest.mark.parametrize(
+        "name,label,order",
+        [
+            ("C(2) × C(3)", "C(2)×C(3)", 6),
+            (" C(2)", "C(2)", 2),
+            ("C(02)", "C(2)", 2),
+            ("C(2)\tx C(2)", "C(2)×C(2)", 4),
+            ("C(1)xC(1)xC(1)", "C(1)×C(1)×C(1)", 1),
+            ("E(2,3)xE(3,1)", "E(2,3)×E(3,1)", 24),
+            ("M16xDic(3)", "M16×Dic(3)", 192),
+        ],
+    )
+    def test_accepted_spellings(self, name, label, order):
+        assert (catalog_order(name), catalog_build(name).name) == (order, label)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["C(2x3)", "C(2)××C(3)", "x", "", "xC(2)", "C(2))xC(3)", "(C(2))", "C(2)xD(", "c(2)",
+         "E( 2,1)", "C(2)X C(2)", "C(2)*C(2)", "C(2)×(C(2)×C(2))", "C(-1)", "S(0)", "D(0)"],
+    )
+    def test_refused_spellings(self, name):
+        for read in (catalog_order, catalog_build):
+            with pytest.raises(CatalogNameError):
+                read(name)
+
+    def test_malformed_product_names_its_first_bad_piece(self):
+        # The name splits at every product sign, so the parenthesis is cut.
+        with pytest.raises(CatalogNameError, match=r"unknown name: 'C\(2'"):
+            catalog_build("C(2x3)")
+
+    @pytest.mark.parametrize("group,m,r,s", [(modular16, 8, 5, 0), (dicyclic3, 6, 5, 3)])
+    def test_metacyclic_presentation(self, group, m, r, s):
+        # a is element 1 and b element m: a^m = 1, b^2 = a^s, b a b^-1 = a^r.
+        g = group()
+        a, b = 1, m
+        assert g.element_order(a) == m
+        assert g.table[b][b] == s
+        assert g.table[g.table[b][a]][g.inv(b)] == r
+
     def test_cyclic_canonical_table(self):
         g = catalog_build("C(4)")
         assert g.name == "C(4)"

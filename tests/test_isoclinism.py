@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from autodegree import automorphisms, cli, isoclinism
-from autodegree.automorphisms import AutGroup, Automorphism, compute_aut
+from autodegree.automorphisms import AutGroup, Automorphism, compute_aut, coset_autocommutator
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
 from autodegree.groups import (
@@ -26,7 +26,6 @@ from autodegree.isoclinism import (
     AUT_CAP,
     QUOTIENT_CAP,
     IsoclinismWitness,
-    autocommutator_pairing,
     cap_refusal,
     decide_autoisoclinism,
     find_autoisoclinism,
@@ -38,6 +37,11 @@ from autodegree.scan import default_catalog, run_scan
 
 def pair_of(name: str):
     return make_pair(catalog_build(name))
+
+
+def pairing_value(P, c, alpha) -> int:
+    """[x, alpha] for x in coset c of the pair's quotient, from the definition."""
+    return coset_autocommutator(P.subgroup.parent, P.quotient.cosets[c], alpha)
 
 
 def any_beta_derives(P1, P2) -> bool:
@@ -72,12 +76,12 @@ class TestPairing:
         assert p.autocentre.members == (0, 2)
         assert p.quotient.cosets == ((0, 2), (1, 3))
         inversion = p.auts.members[1]
-        assert autocommutator_pairing(p, 1, inversion) == 2
+        assert pairing_value(p, 1, inversion) == 2
 
     def test_identity_automorphism_maps_every_coset_to_identity(self):
         p = pair_of("C(4)")
         for c in range(len(p.quotient.cosets)):
-            assert autocommutator_pairing(p, c, p.auts.members[0]) == 0
+            assert pairing_value(p, c, p.auts.members[0]) == 0
 
     def test_automorphisms_without_inn_are_refused_up_front(self):
         # A = {id, (2 5)(3 4)} is closed, but it misses most of Inn(S(3)); its
@@ -102,7 +106,7 @@ class TestPairing:
         kset = set(p.commutator_subgroup.members)
         for c in range(len(p.quotient.cosets)):
             for alpha in p.auts.members:
-                assert autocommutator_pairing(p, c, alpha) in kset
+                assert pairing_value(p, c, alpha) in kset
 
     def test_pair_invariants(self):
         p = pair_of("S(3)")
@@ -124,7 +128,7 @@ class TestPairing:
         for alpha in compute_aut(catalog_build(name)).members:
             for c in range(len(p.quotient.cosets)):
                 with pytest.raises(ParentMismatchError):
-                    autocommutator_pairing(p, c, alpha)
+                    pairing_value(p, c, alpha)
 
 
 class TestWitnessSearch:
@@ -259,12 +263,23 @@ class TestWitnessSearch:
         a3 = subgroup_closure(s3, {3})
         p1 = make_pair(s3, a3, auts=a)
         p2 = pair_of("C(3)")
-        # (A3, S3) vs (Z3, Z3): both quotients C(3), both degrees 2/3.
-        w, why, check = decide_autoisoclinism(p1, p2)
-        if w is not None:
-            assert why is None, why
-            assert check.holds
+        # (A3, S3) vs (Z3, Z3): both quotients C(3), both degrees 2/3, but
+        # |Aut| is 6 against 2, so the size gate leaves no witness to find.
+        assert decide_autoisoclinism(p1, p2) == (None, None, None)
         assert pr_definition(p1.subgroup, p1.auts) == pr_definition(p2.subgroup, p2.auts)
+
+    def test_subgroup_pair_with_a_witness(self):
+        # (<r>, D(6)) against (<r^2>, D(6)): H = {0..5} and {0, 2, 4}.
+        d6 = catalog_build("D(6)")
+        a = compute_aut(d6)
+        p1 = make_pair(d6, subgroup_closure(d6, {1}), auts=a)
+        p2 = make_pair(d6, subgroup_closure(d6, {2}), auts=a)
+        assert (p1.subgroup.members, p2.subgroup.members) == (tuple(range(6)), (0, 2, 4))
+        w, why, check = decide_autoisoclinism(p1, p2)
+        assert w is not None and why is None, why
+        assert verify_witness(p1, p2, w) == (True, None)
+        assert check.holds
+        assert check.value == check.bound == Fraction(2, 3)
 
     def test_reflexive_across_catalog_sample(self):
         for name in ["C(1)", "C(2)", "C(5)", "C(6)", "S(3)", "Q8", "D(4)", "Dic(3)"]:
