@@ -3,6 +3,14 @@
 Exit codes: 0 all checks passed, 1 theorem violation in a scan or an
 unequal-degree witness, 2 usage or input error, 3 a size cap was exceeded.
 Identical invocations produce byte-identical output.
+
+Output is written while it is produced, in chunks of about ``CHUNK_CHARS``
+characters, so ``verify`` and ``compute`` never hold their whole output:
+``compute --subgroup all`` prints |subgroups| × |Aut| automorphism lines. Every refusal happens before
+the first write, so stdout stays empty on those exits: argparse errors,
+catalog name errors and cap refusals, table-file errors and subgroup-spec
+errors. Only an internal ``InvariantError`` raised while the output is being
+rendered can leave completed chunks on stdout (exit 2).
 """
 
 from __future__ import annotations
@@ -10,28 +18,52 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build, catalog_order
-from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, refuse_over_cap, subgroup_closure, whole_subgroup
+from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
+
+# One write per chunk keeps the cost per line off the system call even when
+# stdout is unbuffered (PYTHONUNBUFFERED).
+CHUNK_CHARS = 64 * 1024
+
+
+def _emit(lines: Iterable[str]) -> None:
+    """Write each line and a newline to ``sys.stdout`` in chunks of about ``CHUNK_CHARS``.
+
+    A chunk is written once it reaches ``CHUNK_CHARS``, so none is longer
+    than that plus its last line.
+    """
+    out = sys.stdout
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= CHUNK_CHARS:
+            out.write("\n".join(chunk) + "\n")
+            chunk, size = [], 0
+    if chunk:
+        out.write("\n".join(chunk) + "\n")
 
 
 def load_group(spec: str) -> GroupTable:
     """A group from a file path (if it exists) or a catalog name.
 
-    Every command that loads a group computes its Aut, so a catalog name over
-    the automorphism-search cap is refused from its order, before any table.
+    Every command that loads a group computes its Aut, so a group over the
+    automorphism-search cap is refused from its order before any table: a
+    catalog name's order is read from the name, a file's from its order line.
     """
     path = Path(spec)
     if path.exists():
-        from .groups import parse_group_table
-
-        g = parse_group_table(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        refuse_over_cap("automorphism search", table_order(text))
+        g = parse_group_table(text)
         return GroupTable(g.table, name=path.name)
     refuse_over_cap("automorphism search", catalog_order(spec))
     return catalog_build(spec)
@@ -57,20 +89,23 @@ def cmd_compute(args) -> int:
     auts = am.compute_aut(g)
     subgroups = select_subgroups(g, args.subgroup)
     cycles = [a.cycle_notation() for a in auts.members]
-    lines: list[str] = []
-    if args.format == "kv":
-        lines.append(kv_line("compute.group", g.label()))
-        lines.append(kv_line("compute.subgroup_spec", args.subgroup))
-        for i, h in enumerate(subgroups):
-            lines.extend(render_degree_kv(deg.degree_report(h, auts), prefix=f"report.{i}"))
-            for j, c in enumerate(cycles):
-                lines.append(kv_line(f"report.{i}.aut.{j}", c))
-    else:
-        for i, h in enumerate(subgroups):
-            if i:
-                lines.append("")
-            lines.extend(render_degree_human(deg.degree_report(h, auts), cycles=cycles))
-    print("\n".join(lines))
+
+    # Each subgroup's report is computed when its lines are due.
+    def lines() -> Iterator[str]:
+        if args.format == "kv":
+            yield kv_line("compute.group", g.label())
+            yield kv_line("compute.subgroup_spec", args.subgroup)
+            for i, h in enumerate(subgroups):
+                yield from render_degree_kv(deg.degree_report(h, auts), prefix=f"report.{i}")
+                for j, c in enumerate(cycles):
+                    yield kv_line(f"report.{i}.aut.{j}", c)
+        else:
+            for i, h in enumerate(subgroups):
+                if i:
+                    yield ""
+                yield from render_degree_human(deg.degree_report(h, auts), cycles=cycles)
+
+    _emit(lines())
     return 0
 
 
@@ -81,11 +116,7 @@ def cmd_verify(args) -> int:
         aut_cap=args.aut_cap,
         quotient_cap=args.witness_cap,
     )
-    if args.format == "kv":
-        lines = render_scan_kv(report)
-    else:
-        lines = render_scan_human(report)
-    print("\n".join(lines))
+    _emit(render_scan_kv(report) if args.format == "kv" else render_scan_human(report))
     return 1 if report.failures else 0
 
 
@@ -161,7 +192,7 @@ def cmd_isoclinic(args) -> int:
             lines.append(f"degrees: {check.value} = {check.bound}")
         if not check.holds:
             exit_code = 1
-    print("\n".join(lines))
+    _emit(lines)
     return exit_code
 
 
@@ -176,7 +207,7 @@ def cmd_groups(args) -> int:
     else:
         for entry in default_catalog():
             lines.append(f"{entry.name} (order {entry.group.order})")
-    print("\n".join(lines))
+    _emit(lines)
     return 0
 
 

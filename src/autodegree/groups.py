@@ -160,6 +160,37 @@ def validate_group_table(g: GroupTable) -> None:
     g.inverses  # raises AxiomError for an element without a two-sided inverse
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_order(data: Iterator[tuple[int, str]]) -> int:
+    """The group order n from the first data line, which it consumes."""
+    for lineno, line in data:
+        try:
+            n = int(line)
+        except ValueError:
+            raise TableParseError(f"expected the group order, got {line!r}", lineno) from None
+        if n <= 0:
+            raise TableParseError(f"group order must be positive, got {n}", lineno)
+        return n
+    raise TableParseError("empty input: no group order found")
+
+
+def table_order(text: str) -> int:
+    """The order a table text declares, read without parsing its rows.
+
+    It raises the :class:`TableParseError` that :func:`parse_group_table`
+    gives for the same order line, so a caller can refuse an over-cap file
+    before paying for the rows.
+    """
+    return _read_order(_data_lines(text))
+
+
 def parse_group_table(text: str) -> GroupTable:
     """Parse a group from the documented text format and validate it.
 
@@ -169,20 +200,10 @@ def parse_group_table(text: str) -> GroupTable:
     element 0. Parsing does not assume the table is a group; the axioms are
     checked afterwards.
     """
+    data = _data_lines(text)
+    n = _read_order(data)
     rows: list[tuple[int, ...]] = []
-    n: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise TableParseError(f"expected the group order, got {line!r}", lineno) from None
-            if n <= 0:
-                raise TableParseError(f"group order must be positive, got {n}", lineno)
-            continue
+    for lineno, line in data:
         if len(rows) == n:
             raise TableParseError(f"unexpected extra row after {n} table rows", lineno)
         parts = line.split()
@@ -196,8 +217,6 @@ def parse_group_table(text: str) -> GroupTable:
             if not 0 <= e < n:
                 raise TableParseError(f"entry {e} out of range [0, {n})", lineno)
         rows.append(entries)
-    if n is None:
-        raise TableParseError("empty input: no group order found")
     if len(rows) != n:
         raise TableParseError(f"expected {n} table rows, found {len(rows)}")
     g = GroupTable(tuple(rows))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import automorphisms as am
 from . import degree as deg
@@ -324,8 +324,10 @@ def run_scan(
     return report
 
 
-def render_scan_human(report: ScanReport) -> list[str]:
-    lines = [f"suite: {report.suite}", f"max order: {report.max_order}"]
+def render_scan_human(report: ScanReport) -> Iterator[str]:
+    """The report as text, one line at a time."""
+    yield f"suite: {report.suite}"
+    yield f"max order: {report.max_order}"
     for r in report.records:
         bits = [f"[{r.status}]", r.group, r.subgroup, r.name]
         if r.value is not None:
@@ -334,47 +336,43 @@ def render_scan_human(report: ScanReport) -> list[str]:
             bits.append(f"bound={r.bound}")
         if r.detail:
             bits.append(f"({r.detail})")
-        lines.append(" ".join(bits))
+        yield " ".join(bits)
     for w in report.warnings:
-        lines.append(f"warning: {w}")
+        yield f"warning: {w}"
     for f in report.findings:
-        lines.append(f"finding: {f}")
+        yield f"finding: {f}"
     for v in report.vacuous:
-        lines.append(f"vacuous: {v}")
-    s = report.summary()
-    lines.append(
+        yield f"vacuous: {v}"
+    yield (
         "summary: pass={pass} fail={fail} inapplicable={inapplicable} "
-        "vacuous={vacuous} findings={findings}".format(**s)
+        "vacuous={vacuous} findings={findings}".format(**report.summary())
     )
-    return lines
 
 
-def render_scan_kv(report: ScanReport) -> list[str]:
+def render_scan_kv(report: ScanReport) -> Iterator[str]:
+    """The report as kv lines, one at a time."""
     from .reporting import kv_line
 
-    lines = [
-        kv_line("scan.suite", report.suite),
-        kv_line("scan.max_order", report.max_order),
-    ]
+    yield kv_line("scan.suite", report.suite)
+    yield kv_line("scan.max_order", report.max_order)
     for i, r in enumerate(report.records):
         prefix = f"record.{i}"
-        lines.append(kv_line(f"{prefix}.suite", r.suite))
-        lines.append(kv_line(f"{prefix}.group", r.group))
-        lines.append(kv_line(f"{prefix}.subgroup", r.subgroup))
-        lines.append(kv_line(f"{prefix}.name", r.name))
-        lines.append(kv_line(f"{prefix}.status", r.status))
+        yield kv_line(f"{prefix}.suite", r.suite)
+        yield kv_line(f"{prefix}.group", r.group)
+        yield kv_line(f"{prefix}.subgroup", r.subgroup)
+        yield kv_line(f"{prefix}.name", r.name)
+        yield kv_line(f"{prefix}.status", r.status)
         if r.value is not None:
-            lines.append(kv_line(f"{prefix}.value", r.value))
+            yield kv_line(f"{prefix}.value", r.value)
         if r.bound is not None:
-            lines.append(kv_line(f"{prefix}.bound", r.bound))
+            yield kv_line(f"{prefix}.bound", r.bound)
         if r.detail:
-            lines.append(kv_line(f"{prefix}.detail", r.detail))
+            yield kv_line(f"{prefix}.detail", r.detail)
     for i, w in enumerate(report.warnings):
-        lines.append(kv_line(f"warning.{i}", w))
+        yield kv_line(f"warning.{i}", w)
     for i, f in enumerate(report.findings):
-        lines.append(kv_line(f"finding.{i}", f))
+        yield kv_line(f"finding.{i}", f)
     for i, v in enumerate(report.vacuous):
-        lines.append(kv_line(f"vacuous.{i}", v))
+        yield kv_line(f"vacuous.{i}", v)
     for key, value in report.summary().items():
-        lines.append(kv_line(f"summary.{key}", value))
-    return lines
+        yield kv_line(f"summary.{key}", value)

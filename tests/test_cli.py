@@ -1,9 +1,11 @@
 """CLI behavior: commands, formats, exit codes, determinism, kv round-trip."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from autodegree import groups
 from autodegree.cli import main
 from autodegree.groups import GroupTable
 from autodegree.reporting import parse_kv
@@ -246,6 +248,41 @@ class TestOrderCapBeforeTables:
         code, _, err = run(capsys, "compute", "--group", name)
         assert (code, built) == (2, [])
         assert "accepted grammar" in err
+
+    def test_prime_parameter_is_checked_in_bounded_time(self, capsys):
+        # p = 2^61 - 1 is prime; trial division up to its square root runs for minutes.
+        start = time.monotonic()
+        code, out, err = run(capsys, "compute", "--group", "E(2305843009213693951,1)")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: automorphism search is capped at group order 24; "
+            "this group has order 2305843009213693951\n"
+        )
+
+    def test_over_cap_table_file_is_refused_before_its_rows(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "c200.grp"
+        rows = (" ".join(str((i + j) % 200) for j in range(200)) for i in range(200))
+        path.write_text("# C(200)\n\n200\n" + "\n".join(rows) + "\n")
+
+        def validate(g):
+            raise AssertionError("the rows of an over-cap table were validated")
+
+        monkeypatch.setattr(groups, "validate_group_table", validate)
+        code, out, err = run(capsys, "compute", "--group", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: automorphism search is capped at group order 24; this group has order 200\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("# c\n\nx3\n0 1 2\n", "line 3: expected the group order, got 'x3'"),
+        ("0\n", "line 1: group order must be positive, got 0"),
+        ("# nothing here\n", "empty input: no group order found"),
+    ])
+    def test_bad_order_line_is_still_a_parse_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.grp"
+        path.write_text(text)
+        code, out, err = run(capsys, "compute", "--group", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_at_the_cap_still_computes(self, capsys):
         code, out, _ = run(capsys, "compute", "--group", "C(2)×C(3)×C(4)", "--format", "kv")

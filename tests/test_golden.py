@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -35,15 +36,23 @@ def case_id(case):
     return " ".join(argv[:3]) + ("" if "--format" in argv else " human")
 
 
-def run_cli(argv, timeout):
-    """``python -m autodegree *argv`` in a fresh interpreter: (exit code, stdout bytes)."""
+def child_env() -> dict[str, str]:
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(argv, timeout):
+    """``python -m autodegree *argv`` in a fresh interpreter: (exit code, stdout bytes)."""
     done = subprocess.run(
         [sys.executable, "-m", "autodegree", *argv],
-        capture_output=True, env=env, timeout=timeout, check=False,
+        capture_output=True, env=child_env(), timeout=timeout, check=False,
     )
     return done.returncode, done.stdout
+
+
+def golden_case(argv) -> dict:
+    return next(c for c in GOLDEN["commands"] + GOLDEN["in_process"] if c["argv"] == argv)
 
 
 @pytest.mark.parametrize("case", GOLDEN["commands"], ids=case_id)
@@ -89,3 +98,72 @@ def test_e24_compute_finishes_within_bound():
     assert code == 0
     assert b"report.0.size_aut=20160\n" in out
     assert elapsed < E24_BOUND_S
+
+
+class RecordingStdout:
+    """A stdout that keeps each ``write`` call's text apart."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--max-order", "24", "--format", "kv"],
+    ["compute", "--group", "C(2)×C(2)×C(4)", "--subgroup", "all"],
+], ids=lambda argv: case_id({"argv": argv}))
+def test_output_is_written_in_bounded_chunks(monkeypatch, argv):
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main(argv)
+    case = golden_case(argv)
+    text = "".join(out.writes)
+    assert code == case["exit"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["sha256"]
+    lines = text.split("\n")[:-1]
+    assert 1 < len(out.writes) < len(lines) / 100
+    assert max(map(len, out.writes)) <= cli.CHUNK_CHARS + max(map(len, lines))
+
+
+# Run in a fresh interpreter, the CLI reports its own peak resident set on
+# stderr. E(2,4) has 67 subgroups and |Aut| = 20160, so ``compute --subgroup
+# all`` prints 77 MB. Held whole before writing, it peaked at 328 MB; written
+# as it is produced, it peaks at about 30 MB (2-vCPU x86_64 VM, Python 3.11).
+PEAK_RSS_BOUND_MB = 100
+PEAK_RSS_CHILD = """
+import sys
+from autodegree.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status", encoding="ascii") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_e24_compute_all_streams_within_memory_bound(tmp_path):
+    argv = ["compute", "--group", "E(2,4)", "--subgroup", "all", "--format", "kv"]
+    out_path = tmp_path / "stdout"
+    with out_path.open("wb") as out:
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+            stdout=out, stderr=subprocess.PIPE, env=child_env(), timeout=120, check=False,
+        )
+    digest = hashlib.sha256()
+    with out_path.open("rb") as out:
+        for block in iter(lambda: out.read(1 << 20), b""):
+            digest.update(block)
+    out_path.unlink()
+    case = golden_case(argv)
+    assert done.returncode == case["exit"]
+    assert digest.hexdigest() == case["sha256"]
+    if sys.platform.startswith("linux"):
+        peak_kib = int(re.search(rb"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+        assert peak_kib / 1024 < PEAK_RSS_BOUND_MB

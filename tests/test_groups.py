@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from autodegree.catalog import (
     dicyclic3,
     dihedral,
     elementary_abelian,
+    is_prime,
     modular16,
     quaternion8,
     symmetric,
@@ -226,6 +228,31 @@ class TestCatalog:
         # The name splits at every product sign, so the parenthesis is cut.
         with pytest.raises(CatalogNameError, match=r"unknown name: 'C\(2'"):
             catalog_build("C(2x3)")
+
+    def test_is_prime_agrees_with_trial_division(self):
+        for n in range(10**4):
+            assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize("n,prime", [
+        (2**61 - 1, True),
+        (2**89 - 1, True),
+        (3_215_031_751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (399_165_290_221 * 798_330_580_441, False),  # one to every prime base up to 37
+    ])
+    def test_is_prime_past_trial_division(self, n, prime):
+        assert is_prime(n) is prime
+
+    def test_table_order_reads_only_the_order_line(self):
+        assert groups.table_order("# Z\n\n  200 \nnot a row\n") == 200
+        for text, message in [
+            ("# c\n\nx3\n0 1 2\n", "line 3: expected the group order, got 'x3'"),
+            ("0\n", "line 1: group order must be positive, got 0"),
+            ("# nothing here\n", "empty input: no group order found"),
+        ]:
+            for read in (groups.table_order, parse_group_table):
+                with pytest.raises(TableParseError) as caught:
+                    read(text)
+                assert str(caught.value) == message
 
     @pytest.mark.parametrize("group,m,r,s", [(modular16, 8, 5, 0), (dicyclic3, 6, 5, 3)])
     def test_metacyclic_presentation(self, group, m, r, s):
