@@ -159,13 +159,15 @@ def _composition_witness(
 
 
 def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
-    """The full automorphism group, by generator-image backtracking.
+    """The full automorphism group, from :func:`iter_isomorphisms` of G with itself.
 
-    Candidate generator images are restricted to elements of equal order;
-    every complete assignment is validated during map extension, so the
-    enumeration returns exactly the automorphisms. As insurance against
-    search bugs, closure under composition is then certified from a
-    generating set (:func:`closure_witness`), in O(|A| log |A| n) steps.
+    The search pins generator images of equal order and closes each prefix
+    by map extension, which validates it; it reaches the first automorphism
+    leaf by leaf and composes the others from the pointwise stabilisers it
+    finds on the way, so the enumeration is exactly the automorphisms
+    without a search per automorphism. As insurance against search bugs,
+    closure under composition is then certified from a generating set
+    (:func:`closure_witness`), in O(|A| log |A| n) steps.
     """
     refuse_over_cap("automorphism search", G.order, cap)
     perms = sorted(h.image for h in iter_isomorphisms(G, G))

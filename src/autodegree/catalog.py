@@ -31,7 +31,7 @@ import re
 from functools import partial, reduce
 from typing import Callable
 
-from .groups import GroupError, GroupTable, direct_product, permutation_table
+from .groups import GroupError, GroupTable, SizeCapError, direct_product, permutation_table
 
 GRAMMAR = (
     "C(n) cyclic; D(n) dihedral of order 2n; Q8; S(n) symmetric with n <= 4; "
@@ -46,6 +46,19 @@ class CatalogNameError(GroupError):
 
     def __init__(self, name: str, reason: str = "unknown name"):
         super().__init__(f"{reason}: {name!r}; accepted grammar: {GRAMMAR}")
+
+
+# Python prints an int of at most this many digits by default. No order cap
+# comes near such an order, and a cap message could not print it, so a name
+# whose order would be this long is refused from its logarithm instead.
+_MAX_ORDER_DIGITS = 4300
+
+
+def _refuse_long_order(name: str, log10_order: float) -> None:
+    if log10_order >= _MAX_ORDER_DIGITS:
+        raise SizeCapError(
+            f"{name} has an order of more than {_MAX_ORDER_DIGITS} digits, over every order cap"
+        )
 
 
 def _from_law(n: int, law: Callable[[int, int], int], name: str) -> GroupTable:
@@ -164,6 +177,7 @@ def _elementary_order(p: int, k: int) -> int:
         raise CatalogNameError(f"E({p},{k})", "E(p,k) needs a prime p")
     if k < 1:
         raise CatalogNameError(f"E({p},{k})", "E(p,k) needs k >= 1")
+    _refuse_long_order(f"E({p},{k})", k * math.log10(p))
     return p ** k
 
 
@@ -226,7 +240,9 @@ def _factors(name: str) -> list[tuple[int, Callable[[], GroupTable]]]:
 
 def catalog_order(name: str) -> int:
     """The order of a named catalog group, read from the name without building a table."""
-    return math.prod(order for order, _ in _factors(name))
+    orders = [order for order, _ in _factors(name)]
+    _refuse_long_order(name, sum(map(math.log10, orders)))
+    return math.prod(orders)
 
 
 def catalog_build(name: str) -> GroupTable:

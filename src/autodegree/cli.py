@@ -16,6 +16,7 @@ rendered can leave completed chunks on stdout (exit 2).
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -60,7 +61,13 @@ def load_group(spec: str) -> GroupTable:
     catalog name's order is read from the name, a file's from its order line.
     """
     path = Path(spec)
-    if path.exists():
+    try:
+        exists = path.exists()
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        exists = False  # too long for a file name, so it can only be a catalog name
+    if exists:
         text = path.read_text(encoding="utf-8")
         refuse_over_cap("automorphism search", table_order(text))
         g = parse_group_table(text)

@@ -623,40 +623,164 @@ def close_partial_map(
     return True
 
 
+def _orbit_points(perms: Sequence[tuple[int, ...]], seed: Iterable[int]) -> set[int]:
+    """The points reached from ``seed`` under the permutations ``perms``."""
+    seen = set(seed)
+    queue = list(seen)
+    for p in queue:
+        for h in perms:
+            q = h[p]
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+def _grow_orbit(orbit: dict[int, tuple[int, ...]], perms: Sequence[tuple[int, ...]]) -> None:
+    """Close ``orbit`` (point -> a product of ``perms`` reaching it) under ``perms``, in place."""
+    queue = list(orbit)
+    for p in queue:
+        for h in perms:
+            q = h[p]
+            if q not in orbit:
+                orbit[q] = compose_perms(h, orbit[p])
+                queue.append(q)
+
+
 def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     """Yield every isomorphism G1 -> G2 in a fixed deterministic order.
 
-    Backtracks over images of a generating set of G1; candidate images are
-    restricted to elements of equal order and tried in ascending order, so
-    witnesses appear in lexicographic generator-image order. Each new
-    generator image is pinned and the map closed under the generators
-    assigned so far with :func:`close_partial_map`, which also checks every
-    product relation against them.
+    The order is lexicographic in the images of a generating set ``gens``
+    of G1; candidate images are the elements of equal order in ascending
+    order. A prefix P, the images of ``gens[:i]``, is pinned and closed
+    with :func:`close_partial_map`, which also checks every product
+    relation against the generators assigned so far.
+
+    The isomorphisms that extend P are exactly phi_P * S_i (phi_P after an
+    element of S_i), where phi_P is any one of them and S_i is the
+    pointwise stabiliser of ``gens[:i]`` in Aut(G1). So only the first
+    isomorphism phi_0 is searched leaf by leaf, along the first prefix of
+    each level; the rest of the first prefix's subtree at level i is read
+    from what that search has found:
+
+    - a candidate y for ``gens[i]`` is settled without a search when
+      x = phi_0^-1(y) is in the orbit of ``gens[i]`` under the part of S_i
+      found so far: its subtree is phi_0 * t * S_(i+1), with t the orbit's
+      transversal element;
+    - otherwise a search to the first leaf phi_P either finds a new element
+      phi_0^-1 * phi_P of S_i, which grows the orbit, and yields
+      phi_P * S_(i+1); or it fails, and then every point of the known orbit
+      of x fails with it, since an automorphism reaching one would reach x.
+
+    When the level finishes, its orbit is all of the S_i-orbit of
+    ``gens[i]``, so S_i is the transversal times S_(i+1) and every later
+    prefix at level i needs only its own first leaf. Each coset is listed
+    orbit point by orbit point, ordered by the image of the level's
+    generator, which is the order the leaf-by-leaf search would visit it
+    in; the order is unchanged and nothing is listed ahead of its turn.
+    The search to phi_0 is the leaf-by-leaf search itself, so
+    :func:`find_isomorphism` makes the closure calls of a plain depth-first
+    search, and every yielded map is a composition of maps that the
+    closure found.
     """
     if G1.order != G2.order or G1.order_profile != G2.order_profile:
         return
     gens = generating_set(G1)
+    k = len(gens)
     orders = [G1.element_order(g) for g in gens]
     by_order: dict[int, list[int]] = {}
     for y in G2.elements():
         by_order.setdefault(G2.element_order(y), []).append(y)
     n = G1.order
+    # Level i's orbit of gens[i]: point -> transversal element of S_i.
+    orbits: list[dict[int, tuple[int, ...]]] = [{} for _ in gens]
+    # Generators found so far. Levels finish deepest first, so when level i
+    # starts reading its orbit these generate S_(i+1), and then S_i once the
+    # level has added its own.
+    strong: list[tuple[int, ...]] = []
+    phi0: tuple[int, ...] = ()
+    inv0: tuple[int, ...] = ()
 
-    def backtrack(i: int, mapped: dict[int, int], used: set[int]) -> Iterator[GroupHom]:
-        if i == len(gens):
-            if len(mapped) != n:
-                raise InvariantError("generating set failed to generate the group")
-            yield GroupHom(G1, G2, tuple(mapped[a] for a in range(n)))
-            return
-        assigned = gens[: i + 1]
+    def extend(
+        i: int, mapped: dict[int, int], used: set[int], y: int
+    ) -> Optional[tuple[dict[int, int], set[int]]]:
+        """The prefix with gens[i] -> y added and closed, or None on a conflict."""
+        if y in used:
+            return None
+        ext, ext_used = {**mapped, gens[i]: y}, used | {y}
+        if close_partial_map(G1, G2, ext, ext_used, gens[: i + 1]):
+            return ext, ext_used
+        return None
+
+    def leaf(mapped: dict[int, int]) -> tuple[int, ...]:
+        if len(mapped) != n:
+            raise InvariantError("generating set failed to generate the group")
+        return tuple(mapped[a] for a in range(n))
+
+    def first_leaf(i: int, mapped: dict[int, int], used: set[int]) -> Optional[tuple[int, ...]]:
+        if i == k:
+            return leaf(mapped)
         for y in by_order.get(orders[i], ()):
+            child = extend(i, mapped, used, y)
+            if child is not None:
+                found = first_leaf(i + 1, *child)
+                if found is not None:
+                    return found
+        return None
+
+    def coset(phi: tuple[int, ...], i: int) -> Iterator[GroupHom]:
+        """phi * S_i in search order: by the image of gens[i], then deeper."""
+        if i == k:
+            yield GroupHom(G1, G2, phi)
+            return
+        orbit = orbits[i]
+        for x in sorted(orbit, key=phi.__getitem__):
+            yield from coset(compose_perms(phi, orbit[x]), i + 1)
+
+    def explore(i: int, mapped: dict[int, int], used: set[int]) -> Iterator[GroupHom]:
+        """Every leaf under the prefix ``mapped``, which is phi_0's if it has any."""
+        nonlocal phi0, inv0
+        if i == k:
+            phi0 = leaf(mapped)
+            inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
+            yield GroupHom(G1, G2, phi0)
+            return
+        candidates = iter(by_order.get(orders[i], ()))
+        for y in candidates:
+            child = extend(i, mapped, used, y)
+            if child is None:
+                continue
+            found = False
+            for hom in explore(i + 1, *child):
+                found = True
+                yield hom
+            if found:
+                break
+        else:
+            return
+        orbit = orbits[i]
+        orbit[gens[i]] = tuple(range(n))
+        failed: set[int] = set()
+        for y in candidates:
             if y in used:
                 continue
-            ext, ext_used = {**mapped, gens[i]: y}, used | {y}
-            if close_partial_map(G1, G2, ext, ext_used, assigned):
-                yield from backtrack(i + 1, ext, ext_used)
+            x = inv0[y]
+            if x in orbit:
+                yield from coset(compose_perms(phi0, orbit[x]), i + 1)
+                continue
+            if x in failed:
+                continue
+            child = extend(i, mapped, used, y)
+            phi = None if child is None else first_leaf(i + 1, *child)
+            if phi is None:
+                failed |= _orbit_points(strong, [x])
+                continue
+            strong.append(compose_perms(inv0, phi))
+            _grow_orbit(orbit, strong)
+            failed = _orbit_points(strong, failed)
+            yield from coset(phi, i + 1)
 
-    yield from backtrack(0, {0: 0}, {0})
+    yield from explore(0, {0: 0}, {0})
 
 
 def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:

@@ -6,8 +6,10 @@ autocommutators, the autocentre, the centre (:func:`brute_center`) and
 condition (d) of the equivalence. Everything here favors the most direct
 computation over speed, and shares no code with the package under test
 beyond reading plain Cayley tables.
-The one exception is :func:`brute_condition_d`, which keeps an older route
-of the package itself as the reference for a newer one.
+The two exceptions keep an older route of the package itself as the
+reference for a newer one: :func:`brute_condition_d`, and
+:func:`dfs_isomorphisms`, which calls the package's ``generating_set`` and
+``close_partial_map``.
 """
 
 from __future__ import annotations
@@ -261,3 +263,35 @@ def brute_condition_d(h_members, aut_group) -> bool:
         if find_isomorphism(quot.group, k_group) is None:
             return False
     return True
+
+
+def dfs_isomorphisms(g1, g2):
+    """Every isomorphism g1 -> g2, leaf by leaf, as image arrays.
+
+    This is how the package listed isomorphisms before it composed
+    stabiliser cosets: a depth-first search over images of the package's
+    generating set, candidates of equal order in ascending order, each
+    prefix closed by the package's ``close_partial_map``. It yields lazily,
+    so the closure calls to its first leaf can be counted.
+    """
+    from autodegree import groups
+
+    if g1.order != g2.order or g1.order_profile != g2.order_profile:
+        return
+    gens = groups.generating_set(g1)
+    orders = [g1.element_order(g) for g in gens]
+    n = g1.order
+
+    def backtrack(i, mapped, used):
+        if i == len(gens):
+            assert len(mapped) == n
+            yield tuple(mapped[a] for a in range(n))
+            return
+        for y in g2.elements():
+            if g2.element_order(y) != orders[i] or y in used:
+                continue
+            ext, ext_used = {**mapped, gens[i]: y}, used | {y}
+            if groups.close_partial_map(g1, g2, ext, ext_used, gens[: i + 1]):
+                yield from backtrack(i + 1, ext, ext_used)
+
+    yield from backtrack(0, {0: 0}, {0})

@@ -260,6 +260,31 @@ class TestOrderCapBeforeTables:
             "this group has order 2305843009213693951\n"
         )
 
+    @pytest.mark.parametrize("name", ["E(2,10000000)", "E(3,30000000)", "E(2,10000)×E(2,10000)"])
+    def test_order_too_long_to_print_is_refused_from_its_logarithm(self, capsys, name):
+        start = time.monotonic()
+        code, out, err = run(capsys, "compute", "--group", name)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"error: {name} has an order of more than 4300 digits, over every order cap\n"
+
+    def test_longest_printable_elementary_order_keeps_its_cap_message(self, capsys):
+        code, out, err = run(capsys, "compute", "--group", "E(2,14000)")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: automorphism search is capped at group order 24; "
+            f"this group has order {2 ** 14000}\n"
+        )
+
+    def test_name_too_long_for_a_file_is_read_as_a_catalog_name(self, capsys):
+        nines = "9" * 300
+        code, out, err = run(capsys, "compute", "--group", f"C({nines})")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: automorphism search is capped at group order 24; "
+            f"this group has order {nines}\n"
+        )
+
     def test_over_cap_table_file_is_refused_before_its_rows(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "c200.grp"
         rows = (" ".join(str((i + j) % 200) for j in range(200)) for i in range(200))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from autodegree import groups
+from autodegree.automorphisms import compute_aut
 from autodegree.catalog import (
     CatalogNameError,
     alternating4,
@@ -49,6 +50,8 @@ from autodegree.groups import (
     validate_group_table,
     whole_subgroup,
 )
+from autodegree.scan import DEFAULT_CATALOG_NAMES
+from test_action_table import relabeled
 
 Z3_TEXT = """\
 # cyclic group of order 3
@@ -625,6 +628,71 @@ class TestIsomorphisms:
         assert generating_set(cyclic(1)) == ()
         gens = generating_set(symmetric(4))
         assert subgroup_closure(symmetric(4), gens).size == 24
+
+
+def count_closures(monkeypatch) -> list[int]:
+    """Count every close_partial_map call, the package's and the DFS oracle's."""
+    calls = [0]
+    close = groups.close_partial_map
+
+    def counting(*args):
+        calls[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(groups, "close_partial_map", counting)
+    return calls
+
+
+def images(g1, g2) -> list[tuple[int, ...]]:
+    return [h.image for h in iter_isomorphisms(g1, g2)]
+
+
+class TestStabiliserCosets:
+    """iter_isomorphisms lists the leaf-by-leaf search's maps in its order, with fewer closures."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [*DEFAULT_CATALOG_NAMES, "Q8×C(4)", "C(2)×C(2)×C(8)", "C(2)×C(2)×S(3)", "C(2)×C(2)×D(4)"],
+    )
+    def test_self_isomorphisms_match_the_dfs(self, name):
+        g = catalog_build(name)
+        assert images(g, g) == list(oracles.dfs_isomorphisms(g, g))
+
+    @given(st.permutations(range(1, 32)))
+    @settings(max_examples=10, deadline=None)
+    def test_relabelled_q8xc4_matches_the_dfs(self, perm):
+        g = catalog_build("Q8×C(4)")
+        h = relabeled(g, (0,) + tuple(perm))
+        assert images(h, g) == list(oracles.dfs_isomorphisms(h, g))
+
+    @pytest.mark.parametrize("name", ["D(4)", "Q8", "S(4)"])
+    def test_abstract_aut_groups_match_the_dfs(self, name):
+        a = compute_aut(catalog_build(name)).abstract_group
+        assert images(a, a) == list(oracles.dfs_isomorphisms(a, a))
+
+    def test_equal_profiles_without_an_isomorphism(self):
+        g1, g2 = catalog_build("C(4)×C(4)"), catalog_build("C(2)×Q8")
+        assert g1.order_profile == g2.order_profile
+        assert images(g1, g2) == [] == list(oracles.dfs_isomorphisms(g1, g2))
+
+    def test_listing_aut_q8xc4_takes_a_tenth_of_the_closures(self, monkeypatch):
+        calls = count_closures(monkeypatch)
+        g = catalog_build("Q8×C(4)")
+        assert len(images(g, g)) == 384
+        assert calls[0] <= 536  # the leaf-by-leaf search makes 5,364
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(name, name) for name in DEFAULT_CATALOG_NAMES] + [("C(4)×C(4)", "C(2)×Q8")],
+    )
+    def test_first_isomorphism_costs_what_the_dfs_costs(self, monkeypatch, pair):
+        g1, g2 = map(catalog_build, pair)
+        calls = count_closures(monkeypatch)
+        found = find_isomorphism(g1, g2)
+        ours, calls[0] = calls[0], 0
+        expected = next(oracles.dfs_isomorphisms(g1, g2), None)
+        assert (found.image if found else None) == expected
+        assert ours == calls[0]
 
 
 class TestDirectProduct:
