@@ -652,7 +652,14 @@ class TestStabiliserCosets:
 
     @pytest.mark.parametrize(
         "name",
-        [*DEFAULT_CATALOG_NAMES, "Q8×C(4)", "C(2)×C(2)×C(8)", "C(2)×C(2)×S(3)", "C(2)×C(2)×D(4)"],
+        [
+            *DEFAULT_CATALOG_NAMES,
+            "Q8×C(4)",
+            "C(2)×C(2)×C(8)",
+            "C(2)×C(2)×S(3)",
+            "C(2)×C(2)×D(4)",
+            "D(4)×Q8",  # 13 of its candidate searches fail and prune their orbits
+        ],
     )
     def test_self_isomorphisms_match_the_dfs(self, name):
         g = catalog_build(name)
@@ -664,6 +671,13 @@ class TestStabiliserCosets:
         g = catalog_build("Q8×C(4)")
         h = relabeled(g, (0,) + tuple(perm))
         assert images(h, g) == list(oracles.dfs_isomorphisms(h, g))
+
+    def test_relabelled_e24_matches_the_dfs(self):
+        g = catalog_build("E(2,4)")
+        h = relabeled(g, (0,) + tuple(range(15, 0, -1)))
+        got = images(h, g)
+        assert len(got) == 20160
+        assert got == list(oracles.dfs_isomorphisms(h, g))
 
     @pytest.mark.parametrize("name", ["D(4)", "Q8", "S(4)"])
     def test_abstract_aut_groups_match_the_dfs(self, name):
