@@ -220,6 +220,23 @@ _ATOMS = (
 )
 
 
+def _refuse_long_parameter(name: str, part: str, order: Callable, digits: list[str]) -> None:
+    """Refuse a factor with a parameter too long for ``int()``, from digit counts alone.
+
+    Such a parameter is over 4 in ``S(n)``, and makes the order of ``C(n)``, ``D(n)`` and
+    ``E(p,k)`` too long to print, unless its other parameter is bad: p not prime, or k = 0.
+    """
+    if order is _symmetric_order:
+        raise CatalogNameError(part, "symmetric groups are limited to n <= 4")
+    if order is _elementary_order:
+        p, k = digits
+        if len(p) <= _MAX_ORDER_DIGITS and not is_prime(int(p)):
+            raise CatalogNameError(part, "E(p,k) needs a prime p")
+        if k == "0":
+            raise CatalogNameError(part, "E(p,k) needs k >= 1")
+    _refuse_long_order(name, math.inf)
+
+
 def _factors(name: str) -> list[tuple[int, Callable[[], GroupTable]]]:
     """(order, constructor) of each factor of a name; no atom contains × or x."""
     parts = [p.strip() for p in re.split("[×x]", name)]
@@ -230,7 +247,10 @@ def _factors(name: str) -> list[tuple[int, Callable[[], GroupTable]]]:
         for pattern, order, build in _ATOMS:
             m = re.fullmatch(pattern, part)
             if m:
-                args = [int(a) for a in m.groups()]
+                digits = [a.lstrip("0") or "0" for a in m.groups()]
+                if any(len(d) > _MAX_ORDER_DIGITS for d in digits):
+                    _refuse_long_parameter(name, part, order, digits)
+                args = [int(d) for d in digits]
                 factors.append((order(*args), partial(build, *args)))
                 break
         else:

@@ -196,7 +196,8 @@ def cmd_isoclinic(args) -> int:
         else:
             lines.append("status: witness found and verified")
             lines.extend(_render_witness_human(witness))
-            lines.append(f"degrees: {check.value} = {check.bound}")
+            relation = "=" if check.holds else "!="
+            lines.append(f"degrees: {check.value} {relation} {check.bound}")
         if not check.holds:
             exit_code = 1
     _emit(lines)

@@ -114,6 +114,29 @@ class GroupTable:
         """Sorted multiset of element orders; a cheap isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[b][a]`` is a*b: right multiplication by b as an image array."""
+        return tuple(zip(*self.table))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set, chosen greedily by maximal closure growth.
+
+        Ties break toward the smallest index, so the result is deterministic.
+        The trivial group yields the empty tuple.
+        """
+        gens: list[int] = []
+        closed = {0}
+        while len(closed) < self.order:
+            best = max(
+                (g for g in self.elements() if g not in closed),
+                key=lambda g: len(_closure_members(self, gens + [g])),
+            )
+            gens.append(best)
+            closed = _closure_members(self, gens)
+        return tuple(gens)
+
     def label(self) -> str:
         return self.name if self.name is not None else f"group<{self.order}>"
 
@@ -347,20 +370,22 @@ def whole_subgroup(G: GroupTable) -> SubgroupSet:
     return SubgroupSet(G, tuple(G.elements()))
 
 
-def _closure_members(G: GroupTable, gens: Iterable[int]) -> set[int]:
-    t = G.table
-    gens = list(gens)
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        row = t[x]
-        for s in gens:
-            y = row[s]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+def _orbit_points(perms: Sequence[tuple[int, ...]], seed: Iterable[int]) -> set[int]:
+    """The points reached from ``seed`` under the permutations ``perms``."""
+    seen = set(seed)
+    queue = list(seen)
+    for p in queue:
+        for h in perms:
+            q = h[p]
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
     return seen
+
+
+def _closure_members(G: GroupTable, gens: Iterable[int]) -> set[int]:
+    """<gens> as the orbit of the identity under right multiplication by ``gens``."""
+    return _orbit_points([G.columns[s] for s in gens], [0])
 
 
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
@@ -373,22 +398,6 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     for s in gens:
         G.check_element(s)
     return SubgroupSet(G, tuple(sorted(_closure_members(G, gens))))
-
-
-def _double_coset(G: GroupTable, gens: Sequence[int], g: int) -> set[int]:
-    """K g K for K = <gens>: {g} closed under left and right multiplication by ``gens``."""
-    t = G.table
-    seen = {g}
-    queue = [g]
-    while queue:
-        x = queue.pop()
-        row = t[x]
-        for s in gens:
-            for y in (row[s], t[s][x]):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return seen
 
 
 def refuse_over_cap(search: str, order: int, cap: int = ORDER_CAP) -> None:
@@ -424,6 +433,8 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
         nxt = []
         for h, gens in frontier:
             covered = set(h.members)
+            # K g K is the orbit of g under right and left multiplication by K's generators.
+            both_sides = [G.columns[s] for s in gens] + [G.table[s] for s in gens]
             for g in G.elements():
                 if g in covered:
                     continue
@@ -432,7 +443,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
                 if members not in found:
                     found[members] = SubgroupSet(G, members)
                     nxt.append((found[members], seed))
-                covered |= _double_coset(G, gens, g)
+                covered |= _orbit_points(both_sides, [g])
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 
@@ -558,27 +569,6 @@ def permutation_table(perms: Sequence[tuple[int, ...]], name: Optional[str] = No
     return GroupTable(rows, name=name)
 
 
-def generating_set(G: GroupTable) -> tuple[int, ...]:
-    """A small generating set, chosen greedily by maximal closure growth.
-
-    Ties break toward the smallest index, so the result is deterministic.
-    The trivial group yields the empty tuple.
-    """
-    gens: list[int] = []
-    closed = {0}
-    while len(closed) < G.order:
-        best_g, best = -1, -1
-        for g in G.elements():
-            if g in closed:
-                continue
-            size = len(_closure_members(G, gens + [g]))
-            if size > best:
-                best, best_g = size, g
-        gens.append(best_g)
-        closed = _closure_members(G, gens)
-    return tuple(gens)
-
-
 def close_partial_map(
     G1: GroupTable,
     G2: GroupTable,
@@ -623,19 +613,6 @@ def close_partial_map(
     return True
 
 
-def _orbit_points(perms: Sequence[tuple[int, ...]], seed: Iterable[int]) -> set[int]:
-    """The points reached from ``seed`` under the permutations ``perms``."""
-    seen = set(seed)
-    queue = list(seen)
-    for p in queue:
-        for h in perms:
-            q = h[p]
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
-
-
 def _grow_orbit(orbit: dict[int, tuple[int, ...]], perms: Sequence[tuple[int, ...]]) -> None:
     """Close ``orbit`` (point -> a product of ``perms`` reaching it) under ``perms``, in place."""
     queue = list(orbit)
@@ -659,9 +636,12 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     The isomorphisms that extend P are exactly phi_P * S_i (phi_P after an
     element of S_i), where phi_P is any one of them and S_i is the
     pointwise stabiliser of ``gens[:i]`` in Aut(G1). So only the first
-    isomorphism phi_0 is searched leaf by leaf, along the first prefix of
-    each level; the rest of the first prefix's subtree at level i is read
-    from what that search has found:
+    isomorphism phi_0 is searched leaf by leaf. That search records its
+    path as it unwinds: for each level i, deepest first, the prefix, its
+    used images and the candidates left after phi_0's own choice. Once
+    phi_0 is yielded, one loop walks the path in that order, and at each
+    level the rest of the first prefix's subtree is read from what has been
+    found so far:
 
     - a candidate y for ``gens[i]`` is settled without a search when
       x = phi_0^-1(y) is in the orbit of ``gens[i]`` under the part of S_i
@@ -685,46 +665,42 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     """
     if G1.order != G2.order or G1.order_profile != G2.order_profile:
         return
-    gens = generating_set(G1)
+    gens = G1.generators
     k = len(gens)
-    orders = [G1.element_order(g) for g in gens]
-    by_order: dict[int, list[int]] = {}
-    for y in G2.elements():
-        by_order.setdefault(G2.element_order(y), []).append(y)
+    # Level i's candidate images of gens[i]: the elements of its order, ascending.
+    levels = [[y for y in G2.elements() if G2.element_order(y) == order]
+              for order in map(G1.element_order, gens)]
     n = G1.order
     # Level i's orbit of gens[i]: point -> transversal element of S_i.
-    orbits: list[dict[int, tuple[int, ...]]] = [{} for _ in gens]
+    orbits = [{g: tuple(range(n))} for g in gens]
     # Generators found so far. Levels finish deepest first, so when level i
     # starts reading its orbit these generate S_(i+1), and then S_i once the
     # level has added its own.
     strong: list[tuple[int, ...]] = []
-    phi0: tuple[int, ...] = ()
-    inv0: tuple[int, ...] = ()
 
-    def extend(
-        i: int, mapped: dict[int, int], used: set[int], y: int
-    ) -> Optional[tuple[dict[int, int], set[int]]]:
-        """The prefix with gens[i] -> y added and closed, or None on a conflict."""
-        if y in used:
-            return None
-        ext, ext_used = {**mapped, gens[i]: y}, used | {y}
-        if close_partial_map(G1, G2, ext, ext_used, gens[: i + 1]):
-            return ext, ext_used
-        return None
+    def first_leaf(
+        i: int, mapped: dict[int, int], used: set[int], path: list, candidates=None
+    ) -> Optional[tuple[int, ...]]:
+        """The first leaf under the prefix ``mapped``, or None; a found leaf's levels go on ``path``.
 
-    def leaf(mapped: dict[int, int]) -> tuple[int, ...]:
-        if len(mapped) != n:
-            raise InvariantError("generating set failed to generate the group")
-        return tuple(mapped[a] for a in range(n))
-
-    def first_leaf(i: int, mapped: dict[int, int], used: set[int]) -> Optional[tuple[int, ...]]:
+        ``gens[i]`` tries ``candidates``, by default every element of its
+        order; each image is added to the prefix and closed, and a conflict
+        moves on to the next.
+        """
         if i == k:
-            return leaf(mapped)
-        for y in by_order.get(orders[i], ()):
-            child = extend(i, mapped, used, y)
-            if child is not None:
-                found = first_leaf(i + 1, *child)
+            if len(mapped) != n:
+                raise InvariantError("generating set failed to generate the group")
+            return tuple(mapped[a] for a in range(n))
+        if candidates is None:
+            candidates = iter(levels[i])
+        for y in candidates:
+            if y in used:
+                continue
+            ext, ext_used = {**mapped, gens[i]: y}, used | {y}
+            if close_partial_map(G1, G2, ext, ext_used, gens[: i + 1]):
+                found = first_leaf(i + 1, ext, ext_used, path)
                 if found is not None:
+                    path.append((i, mapped, used, candidates))
                     return found
         return None
 
@@ -737,29 +713,14 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
         for x in sorted(orbit, key=phi.__getitem__):
             yield from coset(compose_perms(phi, orbit[x]), i + 1)
 
-    def explore(i: int, mapped: dict[int, int], used: set[int]) -> Iterator[GroupHom]:
-        """Every leaf under the prefix ``mapped``, which is phi_0's if it has any."""
-        nonlocal phi0, inv0
-        if i == k:
-            phi0 = leaf(mapped)
-            inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
-            yield GroupHom(G1, G2, phi0)
-            return
-        candidates = iter(by_order.get(orders[i], ()))
-        for y in candidates:
-            child = extend(i, mapped, used, y)
-            if child is None:
-                continue
-            found = False
-            for hom in explore(i + 1, *child):
-                found = True
-                yield hom
-            if found:
-                break
-        else:
-            return
+    path: list[tuple[int, dict[int, int], set[int], Iterator[int]]] = []
+    phi0 = first_leaf(0, {0: 0}, {0}, path)
+    if phi0 is None:
+        return
+    yield GroupHom(G1, G2, phi0)
+    inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
+    for i, mapped, used, candidates in path:
         orbit = orbits[i]
-        orbit[gens[i]] = tuple(range(n))
         failed: set[int] = set()
         for y in candidates:
             if y in used:
@@ -770,8 +731,7 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
                 continue
             if x in failed:
                 continue
-            child = extend(i, mapped, used, y)
-            phi = None if child is None else first_leaf(i + 1, *child)
+            phi = first_leaf(i, mapped, used, [], [y])
             if phi is None:
                 failed |= _orbit_points(strong, [x])
                 continue
@@ -779,8 +739,6 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
             _grow_orbit(orbit, strong)
             failed = _orbit_points(strong, failed)
             yield from coset(phi, i + 1)
-
-    yield from explore(0, {0: 0}, {0})
 
 
 def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:

@@ -202,24 +202,21 @@ class _Scan:
                 self.add("equalities", entry.name, sub, "equality_checks",
                          "inapplicable", detail="degree is 1")
                 continue
-            rep = deg.classify_equality_pq(h, A)
-            if rep is None:
-                self.add("equalities", entry.name, sub, "equality_pq", "inapplicable",
-                         detail="degree differs from (p+q-1)/pq")
-            else:
-                self.applicable["equality_pq"] += 1
-                self.add("equalities", entry.name, sub, "equality_pq",
-                         "pass" if rep.passed() else "fail", rep.pr,
-                         detail=describe_equality(rep))
-            rep2 = deg.classify_equality_pq2(h, A)
-            if rep2 is None:
-                self.add("equalities", entry.name, sub, "equality_pq2", "inapplicable",
-                         detail="not a non-abelian instance of (q^2+p-1)/pq^2")
-            else:
-                self.applicable["equality_pq2"] += 1
-                self.add("equalities", entry.name, sub, "equality_pq2",
-                         "pass" if rep2.passed() else "fail", rep2.pr,
-                         detail=describe_equality(rep2))
+            # Read from deg at each call, so wrappers installed on the module are seen.
+            for name, classify, inapplicable in (
+                ("equality_pq", deg.classify_equality_pq, "degree differs from (p+q-1)/pq"),
+                ("equality_pq2", deg.classify_equality_pq2,
+                 "not a non-abelian instance of (q^2+p-1)/pq^2"),
+            ):
+                rep = classify(h, A)
+                if rep is None:
+                    self.add("equalities", entry.name, sub, name, "inapplicable",
+                             detail=inapplicable)
+                else:
+                    self.applicable[name] += 1
+                    self.add("equalities", entry.name, sub, name,
+                             "pass" if rep.passed() else "fail", rep.pr,
+                             detail=describe_equality(rep))
             converse = deg.converse_check(h, A)
             if not converse:
                 self.add("equalities", entry.name, sub, "converse", "inapplicable",

@@ -8,8 +8,8 @@ computation over speed, and shares no code with the package under test
 beyond reading plain Cayley tables.
 The two exceptions keep an older route of the package itself as the
 reference for a newer one: :func:`brute_condition_d`, and
-:func:`dfs_isomorphisms`, which calls the package's ``generating_set`` and
-``close_partial_map``.
+:func:`dfs_isomorphisms`, which reads the package's ``GroupTable.generators``
+and calls its ``close_partial_map``.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def dfs_isomorphisms(g1, g2):
 
     if g1.order != g2.order or g1.order_profile != g2.order_profile:
         return
-    gens = groups.generating_set(g1)
+    gens = g1.generators
     orders = [g1.element_order(g) for g in gens]
     n = g1.order
 

@@ -68,3 +68,18 @@ def test_install_records_spans_and_uninstall_restores():
     assert {"automorphisms.compute_aut", "degree.degree_report", "groups.aut_search"} <= names
     after = {(mod, fn): getattr(module(mod), fn) for mod, fn, _, _ in tracer.FUNCTIONS}
     assert after == before
+
+
+def test_equalities_suite_calls_the_traced_classifiers():
+    # The suite reads both classifiers from the degree module when it runs,
+    # so the tracer's wrappers see every call.
+    from autodegree.scan import run_scan
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run_scan("equalities", max_order=8)
+    finally:
+        t.uninstall()
+    names = {span[0] for span in t.spans}
+    assert {"degree.classify_equality_pq", "degree.classify_equality_pq2"} <= names

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from autodegree import groups
+from autodegree import cli, groups
 from autodegree.cli import main
+from autodegree.degree import BoundCheck
 from autodegree.groups import GroupTable
 from autodegree.reporting import parse_kv
 
@@ -174,6 +175,19 @@ class TestIsoclinic:
         assert "witness found and verified" in out
         assert "degrees: 3/4 = 3/4" in out
 
+    def test_unequal_degrees_print_as_unequal(self, capsys, monkeypatch):
+        decide = cli.decide_autoisoclinism
+
+        def mismatched(*args, **kwargs):
+            witness, why, check = decide(*args, **kwargs)
+            return witness, why, BoundCheck(check.name, check.value, Fraction(1, 2), "equal")
+
+        monkeypatch.setattr(cli, "decide_autoisoclinism", mismatched)
+        code, out, _ = run(capsys, "isoclinic", "C(4)", "C(4)")
+        assert code == 1
+        assert "degrees: 3/4 != 1/2" in out
+        assert "degrees: 3/4 = 1/2" not in out
+
     def test_fast_rejection_c3_c8(self, capsys):
         code, out, _ = run(capsys, "isoclinic", "C(3)", "C(8)")
         assert code == 0
@@ -284,6 +298,36 @@ class TestOrderCapBeforeTables:
             "error: automorphism search is capped at group order 24; "
             f"this group has order {nines}\n"
         )
+
+    def test_zero_padded_parameter_too_long_for_int_reads_as_its_value(self, capsys):
+        padded = run(capsys, "compute", "--group", "C(" + "0" * 4999 + "4)")
+        assert padded == run(capsys, "compute", "--group", "C(4)")
+        assert padded[0] == 0
+
+    @pytest.mark.parametrize("template", [
+        "C({})", "D({})", "E({},1)", "E(2,{})", "C(2)×C({})", "E({0},{0})",
+    ])
+    def test_parameter_too_long_for_int_is_refused_from_its_digit_count(
+        self, capsys, monkeypatch, template
+    ):
+        built = spy_tables(monkeypatch)
+        name = template.format("9" * 5000)
+        start = time.monotonic()
+        code, out, err = run(capsys, "compute", "--group", name)
+        assert time.monotonic() - start < 1
+        assert (code, out, built) == (3, "", [])
+        assert err == f"error: {name} has an order of more than 4300 digits, over every order cap\n"
+
+    @pytest.mark.parametrize("name,reason", [
+        ("S({})", "symmetric groups are limited to n <= 4"),
+        ("E(9,{})", "E(p,k) needs a prime p"),
+        ("E({},0)", "E(p,k) needs k >= 1"),
+    ])
+    def test_bad_name_with_a_parameter_too_long_for_int_exits_2(self, capsys, name, reason):
+        name = name.format("0" + "7" * 5000)
+        code, out, err = run(capsys, "compute", "--group", name)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {reason}: {name!r}; accepted grammar")
 
     def test_over_cap_table_file_is_refused_before_its_rows(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "c200.grp"
