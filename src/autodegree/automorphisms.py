@@ -7,7 +7,6 @@ all of their time doing exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -21,6 +20,7 @@ from .groups import (
     ParentMismatchError,
     Quotient,
     SubgroupSet,
+    _Frozen,
     _require_same_parent,
     closure_witness,
     compose_perms,
@@ -33,12 +33,11 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(_Frozen):
     """A group automorphism as the permutation it induces on element indices."""
 
-    parent: GroupTable
-    image: tuple[int, ...]
+    def __init__(self, parent: GroupTable, image: tuple[int, ...]):
+        vars(self).update(parent=parent, image=image)
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.image))
@@ -67,8 +66,7 @@ class Automorphism:
         return "".join(out) or "id"
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(_Frozen):
     """A composition-closed set of automorphisms, in lexicographic image order.
 
     The identity automorphism is always members[0]: every automorphism fixes
@@ -92,8 +90,8 @@ class AutGroup:
     and equivalence (d) and (e), which read ``members``.
     """
 
-    parent: GroupTable
-    members: tuple[Automorphism, ...]
+    def __init__(self, parent: GroupTable, members: tuple[Automorphism, ...]):
+        vars(self).update(parent=parent, members=members)
 
     @property
     def size(self) -> int:
@@ -244,8 +242,7 @@ def coset_autocommutator(G: GroupTable, coset: tuple[int, ...], alpha: Automorph
     return values.pop()
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupAction:
+class SubgroupAction(_Frozen):
     """The structures of one (H, A), each computed on first use and then kept.
 
     Build it through :meth:`AutGroup.action_on`, which keeps one per
@@ -253,8 +250,8 @@ class SubgroupAction:
     also the pair (H, G) of the isoclinism layer (:func:`make_pair`).
     """
 
-    subgroup: SubgroupSet
-    auts: AutGroup
+    def __init__(self, subgroup: SubgroupSet, auts: AutGroup):
+        vars(self).update(subgroup=subgroup, auts=auts)
 
     @cached_property
     def autocentre(self) -> SubgroupSet:

@@ -8,9 +8,10 @@ Output is written while it is produced, in chunks of about ``CHUNK_CHARS``
 characters, so ``verify`` and ``compute`` never hold their whole output:
 ``compute --subgroup all`` prints |subgroups| × |Aut| automorphism lines. Every refusal happens before
 the first write, so stdout stays empty on those exits: argparse errors,
-catalog name errors and cap refusals, table-file errors and subgroup-spec
-errors. Only an internal ``InvariantError`` raised while the output is being
-rendered can leave completed chunks on stdout (exit 2).
+catalog name errors and cap refusals, table-file errors, subgroup-spec
+errors, and a group label that ``--format kv`` cannot write (a file name
+holding a newline). Only an internal ``InvariantError`` raised while the
+output is being rendered can leave completed chunks on stdout (exit 2).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ The paper's bounds come in three families, each written once:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .groups import (
     InvariantError,
     PreconditionError,
     SubgroupSet,
+    _Frozen,
     find_isomorphism,
     permutation_table,
 )
@@ -78,27 +78,24 @@ def pr_commuting(H: SubgroupSet) -> Fraction:
     return Fraction(H.commuting_pairs, H.size * H.parent.order)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(_Frozen):
     """All degree formulas plus the sizes of every derived structure."""
 
-    group: str
-    subgroup: tuple[int, ...]
-    pr_definition: Fraction
-    pr_stab_sum: Fraction
-    pr_fixed_sum: Fraction
-    pr_orbit: Fraction
-    pr_orbit_count: Fraction
-    size_h: int
-    size_aut: int
-    size_autocentre: int
-    size_commutator_set: int
-    size_commutator_subgroup: int
-    size_trivial_stabilizer: int
-    orbit_count: int
-    orbits: tuple[tuple[int, ...], ...]
-    h_equals_autocentre: bool
-    findings: tuple[str, ...] = ()
+    def __init__(self, group: str, subgroup: tuple[int, ...], pr_definition: Fraction,
+                 pr_stab_sum: Fraction, pr_fixed_sum: Fraction, pr_orbit: Fraction,
+                 pr_orbit_count: Fraction, size_h: int, size_aut: int, size_autocentre: int,
+                 size_commutator_set: int, size_commutator_subgroup: int,
+                 size_trivial_stabilizer: int, orbit_count: int,
+                 orbits: tuple[tuple[int, ...], ...], h_equals_autocentre: bool,
+                 findings: tuple[str, ...] = ()):
+        vars(self).update(
+            group=group, subgroup=subgroup, pr_definition=pr_definition,
+            pr_stab_sum=pr_stab_sum, pr_fixed_sum=pr_fixed_sum, pr_orbit=pr_orbit,
+            pr_orbit_count=pr_orbit_count, size_h=size_h, size_aut=size_aut,
+            size_autocentre=size_autocentre, size_commutator_set=size_commutator_set,
+            size_commutator_subgroup=size_commutator_subgroup,
+            size_trivial_stabilizer=size_trivial_stabilizer, orbit_count=orbit_count,
+            orbits=orbits, h_equals_autocentre=h_equals_autocentre, findings=findings)
 
     def formulas_agree(self) -> bool:
         return (
@@ -154,8 +151,7 @@ def degree_report(H: SubgroupSet, A: AutGroup) -> DegreeReport:
 _HOLDS = {"upper": operator.le, "lower": operator.ge, "equal": operator.eq}
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Frozen):
     """One evaluated inequality or equality claim about a degree.
 
     ``holds`` and ``is_equality`` are derived from ``value``, ``bound`` and
@@ -166,19 +162,16 @@ class BoundCheck:
     findings instead of failures.
     """
 
-    name: str
-    value: Fraction
-    bound: Fraction
-    direction: str  # "upper", "lower" or "equal"
-    hypothesis_met: bool = True
-    p: Optional[int] = None
-    q: Optional[int] = None
-    condition_met: Optional[bool] = None
-    informational: bool = False
-
-    def __post_init__(self) -> None:
-        if self.direction not in _HOLDS:
-            raise ValueError(f"unknown direction {self.direction!r}")
+    def __init__(self, name: str, value: Fraction, bound: Fraction,
+                 direction: str,  # "upper", "lower" or "equal"
+                 hypothesis_met: bool = True, p: Optional[int] = None, q: Optional[int] = None,
+                 condition_met: Optional[bool] = None, informational: bool = False):
+        if direction not in _HOLDS:
+            raise ValueError(f"unknown direction {direction!r}")
+        vars(self).update(
+            name=name, value=value, bound=bound, direction=direction,
+            hypothesis_met=hypothesis_met, p=p, q=q, condition_met=condition_met,
+            informational=informational)
 
     @property
     def holds(self) -> bool:
@@ -344,19 +337,16 @@ def bound_lower_commutator(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     ]
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(_Frozen):
     """Structural conclusions drawn from a degree attaining a sharp bound."""
 
-    name: str
-    p: int
-    q: int
-    pr: Fraction
-    divisibility_holds: bool
-    quotient_order: int
-    structure_holds: bool
-    expected_structure: str
-    special_case_5_8: bool = False
+    def __init__(self, name: str, p: int, q: int, pr: Fraction, divisibility_holds: bool,
+                 quotient_order: int, structure_holds: bool, expected_structure: str,
+                 special_case_5_8: bool = False):
+        vars(self).update(
+            name=name, p=p, q=q, pr=pr, divisibility_holds=divisibility_holds,
+            quotient_order=quotient_order, structure_holds=structure_holds,
+            expected_structure=expected_structure, special_case_5_8=special_case_5_8)
 
     def passed(self) -> bool:
         return self.divisibility_holds and self.structure_holds
@@ -444,15 +434,16 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Frozen):
     """The five equivalent descriptions of equality in the commutator bound."""
 
-    bound_attained: bool
-    orbit_sizes_match: bool
-    orbit_cosets_match: bool
-    stabilizer_quotients_match: bool
-    commutators_from_each_element: bool
+    def __init__(self, bound_attained: bool, orbit_sizes_match: bool, orbit_cosets_match: bool,
+                 stabilizer_quotients_match: bool, commutators_from_each_element: bool):
+        vars(self).update(
+            bound_attained=bound_attained, orbit_sizes_match=orbit_sizes_match,
+            orbit_cosets_match=orbit_cosets_match,
+            stabilizer_quotients_match=stabilizer_quotients_match,
+            commutators_from_each_element=commutators_from_each_element)
 
     def flags(self) -> tuple[bool, bool, bool, bool, bool]:
         return (

@@ -1,14 +1,16 @@
 """Finite groups as Cayley tables over element indices 0..n-1.
 
 Elements are plain ints indexing into an n-by-n multiplication table;
-index 0 is always the identity. Tables, subgroups and homomorphisms are
-frozen and their cached properties are deterministic, so threads may share
-them; a cached value filled by concurrent first use may be computed twice.
+index 0 is always the identity. Tables, subgroups and homomorphisms, like
+the package's other immutable records, derive from :class:`_Frozen`: their
+fields are set once in ``__init__``, and assigning to or deleting one raises
+AttributeError. Their cached properties are deterministic, so threads may
+share them; a cached value filled by concurrent first use may be computed
+twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -52,17 +54,39 @@ class InvariantError(GroupError):
     """An internal invariant that should hold by construction was violated."""
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class _Frozen:
+    """Base of the immutable records: ``__init__`` fills ``vars(self)``, later writes raise.
+
+    ``cached_property`` writes to ``__dict__`` directly, so cached values still fill.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class GroupTable(_Frozen):
     """A finite group given by its full multiplication table.
 
     ``table[a][b]`` is the index of the product a*b. Constructors in this
     package produce valid tables by construction; text input must go
-    through :func:`parse_group_table`, which checks every axiom.
+    through :func:`parse_group_table`, which checks every axiom. Two tables
+    are equal when their tables are; ``name`` is only a label.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    name: Optional[str] = field(default=None, compare=False)
+    def __init__(self, table: tuple[tuple[int, ...], ...], name: Optional[str] = None):
+        vars(self).update(table=table, name=name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # A renamed copy shares its table tuple, so identity settles most comparisons.
+        return self.table is other.table or self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash(self.table)
 
     @property
     def order(self) -> int:
@@ -304,8 +328,7 @@ def closure_witness(
     return None
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
+class SubgroupSet(_Frozen):
     """A subgroup of a parent group, stored as a sorted tuple of member indices.
 
     Construction certifies the subgroup axioms with :func:`closure_witness`,
@@ -314,8 +337,17 @@ class SubgroupSet:
     a pair whose product leaves it.
     """
 
-    parent: GroupTable
-    members: tuple[int, ...]
+    def __init__(self, parent: GroupTable, members: tuple[int, ...]):
+        vars(self).update(parent=parent, members=members)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.members))
 
     def __post_init__(self):
         ms = self.members
@@ -466,13 +498,11 @@ def is_normal(G: GroupTable, N: SubgroupSet, in_: SubgroupSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Frozen):
     """A homomorphism between two groups, as an image array over the source."""
 
-    source: GroupTable
-    target: GroupTable
-    image: tuple[int, ...]
+    def __init__(self, source: GroupTable, target: GroupTable, image: tuple[int, ...]):
+        vars(self).update(source=source, target=target, image=image)
 
     def is_bijective(self) -> bool:
         return (
@@ -512,8 +542,7 @@ def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[
     return GroupTable(rows), H.members
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(_Frozen):
     """A quotient H/N inside a parent group: its coset table and cosets.
 
     ``cosets[i]`` lists the parent indices of coset i in ascending order;
@@ -521,8 +550,8 @@ class Quotient:
     N at index 0, and ``group`` multiplies cosets by their representatives.
     """
 
-    group: GroupTable
-    cosets: tuple[tuple[int, ...], ...]
+    def __init__(self, group: GroupTable, cosets: tuple[tuple[int, ...], ...]):
+        vars(self).update(group=group, cosets=cosets)
 
 
 def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
@@ -713,32 +742,37 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
         for x in sorted(orbit, key=phi.__getitem__):
             yield from coset(compose_perms(phi, orbit[x]), i + 1)
 
-    path: list[tuple[int, dict[int, int], set[int], Iterator[int]]] = []
-    phi0 = first_leaf(0, {0: 0}, {0}, path)
-    if phi0 is None:
-        return
-    yield GroupHom(G1, G2, phi0)
-    inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
-    for i, mapped, used, candidates in path:
-        orbit = orbits[i]
-        failed: set[int] = set()
-        for y in candidates:
-            if y in used:
-                continue
-            x = inv0[y]
-            if x in orbit:
-                yield from coset(compose_perms(phi0, orbit[x]), i + 1)
-                continue
-            if x in failed:
-                continue
-            phi = first_leaf(i, mapped, used, [], [y])
-            if phi is None:
-                failed |= _orbit_points(strong, [x])
-                continue
-            strong.append(compose_perms(inv0, phi))
-            _grow_orbit(orbit, strong)
-            failed = _orbit_points(strong, failed)
-            yield from coset(phi, i + 1)
+    # first_leaf and coset reach themselves through their closure cells: clearing both
+    # names when the search ends or is dropped frees its state without the cyclic GC.
+    try:
+        path: list[tuple[int, dict[int, int], set[int], Iterator[int]]] = []
+        phi0 = first_leaf(0, {0: 0}, {0}, path)
+        if phi0 is None:
+            return
+        yield GroupHom(G1, G2, phi0)
+        inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
+        for i, mapped, used, candidates in path:
+            orbit = orbits[i]
+            failed: set[int] = set()
+            for y in candidates:
+                if y in used:
+                    continue
+                x = inv0[y]
+                if x in orbit:
+                    yield from coset(compose_perms(phi0, orbit[x]), i + 1)
+                    continue
+                if x in failed:
+                    continue
+                phi = first_leaf(i, mapped, used, [], [y])
+                if phi is None:
+                    failed |= _orbit_points(strong, [x])
+                    continue
+                strong.append(compose_perms(inv0, phi))
+                _grow_orbit(orbit, strong)
+                failed = _orbit_points(strong, failed)
+                yield from coset(phi, i + 1)
+    finally:
+        del first_leaf, coset
 
 
 def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:

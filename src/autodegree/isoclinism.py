@@ -12,7 +12,6 @@ once, and compares the degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import automorphisms as am
@@ -25,6 +24,7 @@ from .groups import (
     PreconditionError,
     SizeCapError,
     SubgroupSet,
+    _Frozen,
     _require_same_parent,
     close_partial_map,
     iter_isomorphisms,
@@ -68,13 +68,16 @@ def make_pair(
     return A.action_on(H)
 
 
-@dataclass(frozen=True)
-class IsoclinismWitness:
-    """The triple of isomorphisms making the pairing diagram commute."""
+class IsoclinismWitness(_Frozen):
+    """The triple of isomorphisms making the pairing diagram commute.
 
-    psi: GroupHom    # quotient of pair 1 -> quotient of pair 2
-    gamma: GroupHom  # automorphism group 1 -> 2, as abstract groups
-    beta: GroupHom   # autocommutator subgroup 1 -> 2, as standalone groups
+    ``psi`` maps quotient 1 to quotient 2, ``gamma`` automorphism group 1 to 2
+    as abstract groups, and ``beta`` autocommutator subgroup 1 to 2 as
+    standalone groups.
+    """
+
+    def __init__(self, psi: GroupHom, gamma: GroupHom, beta: GroupHom):
+        vars(self).update(psi=psi, gamma=gamma, beta=beta)
 
 
 def _derive_beta(

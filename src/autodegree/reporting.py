@@ -3,8 +3,10 @@
 The key-value format is line oriented: one ``key=value`` pair per line,
 keys are dotted paths, list entries carry a numeric path segment, and
 exact rationals are written as Fraction strings ("3/4", "1"), which
-``fractions.Fraction`` parses back without loss. Values never contain
-newlines. Keys with no value are omitted.
+``fractions.Fraction`` parses back without loss. Lines end at "\\n" alone,
+which no value may contain, and nothing is stripped, so a value keeps any
+other line-break character and its edge whitespace. Keys with no value are
+omitted.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ def kv_line(key: str, value) -> str:
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse a key-value report back into a dict; inverse of the renderers."""
+    """Parse a key-value report back into a dict: the exact inverse of :func:`kv_line`.
+
+    Empty lines and lines starting with "#" are skipped.
+    """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

@@ -8,7 +8,6 @@ order, subgroups in (size, members) order, checks in a fixed sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -16,7 +15,7 @@ from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
-from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups
+from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, _Frozen, enumerate_subgroups
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, cap_refusal, decide_autoisoclinism, make_pair
 from .reporting import describe_check, describe_equality, describe_equivalence
 
@@ -30,36 +29,34 @@ DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
 SUITES = ("formulas", "upper", "lower", "equalities", "equivalence", "isoclinism")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    group: GroupTable
+class CatalogEntry(_Frozen):
+    def __init__(self, name: str, group: GroupTable):
+        vars(self).update(name=name, group=group)
 
 
 def default_catalog() -> tuple[CatalogEntry, ...]:
     return tuple(CatalogEntry(name, catalog_build(name)) for name in DEFAULT_CATALOG_NAMES)
 
 
-@dataclass
 class CheckRecord:
-    suite: str
-    group: str
-    subgroup: str
-    name: str
-    status: str  # pass | fail | inapplicable | finding
-    value: Optional[Fraction] = None
-    bound: Optional[Fraction] = None
-    detail: str = ""
+    def __init__(self, suite: str, group: str, subgroup: str, name: str,
+                 status: str,  # pass | fail | inapplicable | finding
+                 value: Optional[Fraction] = None, bound: Optional[Fraction] = None,
+                 detail: str = ""):
+        self.suite, self.group, self.subgroup, self.name = suite, group, subgroup, name
+        self.status, self.value, self.bound, self.detail = status, value, bound, detail
 
 
-@dataclass
 class ScanReport:
-    suite: str
-    max_order: int
-    records: list[CheckRecord] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    vacuous: list[str] = field(default_factory=list)
+    def __init__(self, suite: str, max_order: int, records: Optional[list[CheckRecord]] = None,
+                 findings: Optional[list[str]] = None, warnings: Optional[list[str]] = None,
+                 vacuous: Optional[list[str]] = None):
+        """Each list left out starts empty and belongs to this report alone."""
+        self.suite, self.max_order = suite, max_order
+        self.records = [] if records is None else records
+        self.findings = [] if findings is None else findings
+        self.warnings = [] if warnings is None else warnings
+        self.vacuous = [] if vacuous is None else vacuous
 
     def count(self, status: str) -> int:
         return sum(1 for r in self.records if r.status == status)

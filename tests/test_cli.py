@@ -4,12 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autodegree import cli, groups
 from autodegree.cli import main
 from autodegree.degree import BoundCheck
 from autodegree.groups import GroupTable
-from autodegree.reporting import parse_kv
+from autodegree.reporting import kv_line, parse_kv
 
 
 def run(capsys, *argv):
@@ -166,6 +168,38 @@ class TestVerify:
         assert values
         for v in values:
             Fraction(v)  # every rational parses back exactly
+
+
+class TestKvRoundTrip:
+    """parse_kv reads back exactly what kv_line wrote."""
+
+    @given(st.text().filter(lambda v: "\n" not in v))
+    def test_parse_kv_inverts_kv_line(self, value):
+        lines = [kv_line("a.value", value), kv_line("b", value + "=x")]
+        assert parse_kv("\n".join(lines) + "\n") == {"a.value": value, "b": value + "=x"}
+
+    # A form feed, a carriage return and U+2028 end lines for str.splitlines,
+    # and a trailing space was stripped.
+    @pytest.mark.parametrize("name", ["c2\x0cgrp.txt", "c2sp.txt ", "c2\rgrp.txt", "c2\u2028grp.txt"])
+    def test_file_label_round_trips(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("2\n0 1\n1 0\n")
+        code, out, _ = run(capsys, "compute", "--group", str(path), "--format", "kv")
+        assert code == 0
+        assert parse_kv(out)["compute.group"] == name
+        code, out, _ = run(capsys, "isoclinic", str(path), str(path), "--format", "kv")
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["isoclinic.pair1"] == kv["isoclinic.pair2"] == name
+
+    @pytest.mark.parametrize("command", ["compute", "isoclinic"])
+    def test_label_with_a_newline_is_refused(self, capsys, tmp_path, command):
+        path = tmp_path / "c2\ngrp.txt"
+        path.write_text("2\n0 1\n1 0\n")
+        argv = ["--group", str(path)] if command == "compute" else [str(path), "C(2)"]
+        code, out, err = run(capsys, command, *argv, "--format", "kv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unserializable kv pair: ")
 
 
 class TestIsoclinic:

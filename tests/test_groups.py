@@ -1,5 +1,6 @@
 """Group core: parsing, catalog construction, and structural queries."""
 
+import gc
 import hashlib
 import json
 import math
@@ -706,6 +707,29 @@ class TestStabiliserCosets:
         expected = next(oracles.dfs_isomorphisms(g1, g2), None)
         assert (found.image if found else None) == expected
         assert ours == calls[0]
+
+    @pytest.mark.parametrize(
+        "pair, drain",
+        [
+            (("Q8×C(4)", "Q8×C(4)"), True),
+            (("Q8×C(4)", "Q8×C(4)"), False),  # find_isomorphism abandons the search
+            (("C(4)×C(4)", "C(2)×Q8"), False),  # the search fails
+        ],
+    )
+    def test_search_leaves_no_reference_cycle(self, pair, drain):
+        g1, g2 = map(catalog_build, pair)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if drain:
+                assert len(images(g1, g2)) == 384
+            else:
+                find_isomorphism(g1, g2)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDirectProduct:

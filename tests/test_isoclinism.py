@@ -1,7 +1,6 @@
 """Autoisoclinism: pairing, witness search, verification, equal degrees."""
 
 import contextlib
-import dataclasses
 import io
 import sys
 from fractions import Fraction
@@ -245,7 +244,9 @@ class TestWitnessSearch:
         w = find_autoisoclinism(p, p)
         hom = getattr(w, label)
         for image, defect in (((0,) * 6, "not a bijection"), ((0, 3, 2, 1, 4, 5), "not a homomorphism")):
-            bad = dataclasses.replace(w, **{label: GroupHom(hom.source, hom.target, image)})
+            homs = {"psi": w.psi, "gamma": w.gamma, "beta": w.beta,
+                    label: GroupHom(hom.source, hom.target, image)}
+            bad = IsoclinismWitness(**homs)
             ok, why = verify_witness(p, p, bad)
             assert not ok
             assert why.startswith(f"{label}: {defect}"), why
