@@ -7,8 +7,10 @@ all of their time doing exactly that.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .groups import (
@@ -67,27 +69,29 @@ class Automorphism(_Frozen):
 
 
 class AutGroup(_Frozen):
-    """A composition-closed set of automorphisms, in lexicographic image order.
+    """A composition-closed set of automorphisms, in strictly increasing image order.
 
     The identity automorphism is always members[0]: every automorphism fixes
     index 0, and the identity array is lexicographically least among such
     permutations.
 
-    The action is tabulated once per group by two separate routes:
-    ``orbit_of`` from image sets, ``fixer_count`` by a pair-by-pair tally.
-    As A is a group, orbit-stabilizer gives |orbit(x)| |Stab(x)| = |A|. The
-    four degree formulas count by four routes (the fixer tally, a
-    per-element count of fixers in ``members``, a per-automorphism loop,
-    the orbit table), so their agreement stays a check.
+    The action is tabulated once per group, each table by its own loop over
+    ``members`` and none from another: ``orbit_of`` from image columns,
+    ``fixer_count`` by a tally of those columns, ``stabilizer_sizes`` and
+    ``member_images`` element by element, ``fixed_point_sets`` member by
+    member. As A is a group, orbit-stabilizer gives |orbit(x)| |Stab(x)| =
+    |A|, but no count is derived that way. The four degree formulas read
+    four of these tables (``fixer_count``, ``stabilizer_sizes``,
+    ``fixed_point_sets``, ``orbit_of``), so their agreement stays a check.
 
     :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
     holding L, S, [H, A], X, the fixer-tally degree, H/L and the coset
     pairing, so each is computed once per (H, A) and dropped with this
     group. The cross-checks must not read its orbit data, and each keeps
-    its own route: ``pr_via_sums`` (a per-element and a per-automorphism
-    loop over ``members``), ``pr_via_orbits`` (the orbit table),
-    ``pr_commuting`` (the table of G, the other side of the Inn bridge),
-    and equivalence (d) and (e), which read ``members``.
+    its own route: ``pr_via_sums`` (the stabiliser and fixed-set tables),
+    ``pr_via_orbits`` (the orbit table), ``pr_commuting`` (the centraliser
+    table of G, the other side of the Inn bridge), and equivalence (d) and
+    (e), which read ``member_images`` and ``induced``.
     """
 
     def __init__(self, parent: GroupTable, members: tuple[Automorphism, ...]):
@@ -110,6 +114,29 @@ class AutGroup(_Frozen):
         return tuple(c.count(x) for x, c in enumerate(columns))
 
     @cached_property
+    def stabilizer_sizes(self) -> tuple[int, ...]:
+        """How many members fix each element, counted element by element over ``members``."""
+        images = [a.image for a in self.members]
+        return tuple(sum(1 for img in images if img[x] == x) for x in self.parent.elements())
+
+    @cached_property
+    def fixed_point_sets(self) -> tuple[tuple[frozenset[int], int], ...]:
+        """The distinct fixed-point sets of the members, each with how many members have it."""
+        counts = Counter(frozenset(x for x, y in enumerate(a.image) if x == y) for a in self.members)
+        return tuple(counts.items())
+
+    @cached_property
+    def member_images(self) -> tuple[frozenset[int], ...]:
+        """The images of each element over ``members``, collected element by element."""
+        images = [a.image for a in self.members]
+        return tuple(frozenset(map(itemgetter(x), images)) for x in self.parent.elements())
+
+    @cached_property
+    def induced(self) -> dict[int, Optional[GroupTable]]:
+        """Equivalence (d)'s group induced on each orbit so far, keyed by its least point."""
+        return {}
+
+    @cached_property
     def actions(self) -> dict[tuple[int, ...], "SubgroupAction"]:
         """The per-subgroup records built so far, keyed by member tuple."""
         return {}
@@ -126,8 +153,8 @@ class AutGroup(_Frozen):
         """Check the group axioms for this set under composition."""
         if not self.members:
             raise InvariantError("automorphism group is empty")
-        if list(self.members) != sorted(self.members, key=lambda a: a.image):
-            raise InvariantError("members are not in lexicographic image order")
+        if any(a.image >= b.image for a, b in zip(self.members, self.members[1:])):
+            raise InvariantError("members are not in strictly increasing image order")
         if not self.members[0].is_identity():
             raise InvariantError("members[0] is not the identity automorphism")
         for a in self.members:
@@ -165,10 +192,13 @@ def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     finds on the way, so the enumeration is exactly the automorphisms
     without a search per automorphism. As insurance against search bugs,
     closure under composition is then certified from a generating set
-    (:func:`closure_witness`), in O(|A| log |A| n) steps.
+    (:func:`closure_witness`), in O(|A| log |A| n) steps, and the listing
+    is checked free of repeats, which the set-based recheck cannot see.
     """
     refuse_over_cap("automorphism search", G.order, cap)
     perms = sorted(h.image for h in iter_isomorphisms(G, G))
+    if any(p == q for p, q in zip(perms, perms[1:])):
+        raise InvariantError("automorphism enumeration listed a map twice")
     group = AutGroup(G, tuple(Automorphism(G, p) for p in perms))
     if _composition_witness(G, group.members) is not None:
         raise InvariantError("automorphism enumeration is not closed under composition")

@@ -16,6 +16,7 @@ The paper's bounds come in three families, each written once:
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -58,18 +59,22 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
     """The degree from stabilizer sizes and again from fixed-set sizes.
 
     Both decompose the fixed-pair set: once by the element, counting the
-    members of A that fix it, and once by the automorphism, counting the
-    points of H each automorphism fixes.
+    members of A that fix it (``AutGroup.stabilizer_sizes``), and once by
+    the automorphism, counting the points of H each fixes, summed over the
+    distinct fixed-point sets F with their multiplicities m as
+    sum m |F & H| (``AutGroup.fixed_point_sets``).
     """
     denom = H.size * A.size
-    stab_total = sum(sum(1 for a in A.members if a.image[x] == x) for x in H.members)
-    fixed_total = sum(1 for a in A.members for x in H.members if a.image[x] == x)
+    sizes, hset = A.stabilizer_sizes, H.member_set
+    stab_total = sum(sizes[x] for x in H.members)
+    fixed_total = sum(m * len(fixed & hset) for fixed, m in A.fixed_point_sets)
     return Fraction(stab_total, denom), Fraction(fixed_total, denom)
 
 
 def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
-    """Average of 1/|orbit(x)| over the members of H (orbit-stabilizer form)."""
-    total = sum((Fraction(1, len(orbit(A, x))) for x in H.members), Fraction(0))
+    """Average of 1/|orbit(x)| over H (orbit-stabilizer form), one Fraction per orbit length."""
+    counts = Counter(len(orbit(A, x)) for x in H.members)
+    total = sum((Fraction(c, length) for length, c in counts.items()), Fraction(0))
     return total / H.size
 
 
@@ -460,16 +465,23 @@ class EquivalenceReport(_Frozen):
 
 
 def _induced_on_orbit(A: AutGroup, x: int) -> Optional[GroupTable]:
-    """The group A induces on orbit(x) if Stab(x) is normal in A, else None."""
-    points = sorted({a.image[x] for a in A.members})
+    """The group A induces on orbit(x) if Stab(x) is normal in A, else None.
+
+    Kept in ``A.induced`` under x, which callers pass as the orbit's least point.
+    """
+    if x in A.induced:
+        return A.induced[x]
+    points = sorted(A.member_images[x])
     if any(a.image[y] != y for a in A.members if a.image[x] == x for y in points):
+        A.induced[x] = None
         return None
     pos = {y: i for i, y in enumerate(points)}
     # The identity restriction is the least, so it lands at index 0.
     induced = sorted({tuple(pos[a.image[y]] for y in points) for a in A.members})
     if len(induced) != len(points):
         raise InvariantError(f"{len(induced)} induced permutations on an orbit of {len(points)}")
-    return permutation_table(induced)
+    A.induced[x] = permutation_table(induced)
+    return A.induced[x]
 
 
 def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
@@ -483,8 +495,9 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     (e) the autocommutators of each single x outside L already fill [H, A].
 
     (d) is read from the action on each orbit, one orbit at a time, from
-    the members rather than ``A.orbit_of``, so it shares no route with (b)
-    and (c). Stab(alpha(x)) = alpha Stab(x) alpha^-1, so Stab(x) is normal
+    ``A.member_images`` and the members rather than ``A.orbit_of``, so it
+    shares no route with (b) and (c); each orbit's induced group is built
+    once per A. Stab(alpha(x)) = alpha Stab(x) alpha^-1, so Stab(x) is normal
     exactly when every automorphism fixing x fixes all of orbit(x); it is
     then the kernel of the action on orbit(x), and A/Stab(x) is the group
     A induces there. That group is transitive and its point stabilizers,
@@ -514,10 +527,9 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
         and kset <= core.member_set
     )
     k_group = A.action_on(H).commutator_group
-    reps = sorted({min(a.image[x] for a in A.members) for x in outside})
-    quotients = (_induced_on_orbit(A, r) for r in reps)
+    images = A.member_images
+    reps = sorted({min(images[x]) for x in outside})
+    quotients = [_induced_on_orbit(A, r) for r in reps]
     d_flag = all(q is not None and find_isomorphism(q, k_group) is not None for q in quotients)
-    e_flag = all(
-        {t[invs[x]][a.image[x]] for a in A.members} == kset for x in outside
-    )
+    e_flag = all({t[invs[x]][y] for y in images[x]} == kset for x in outside)
     return EquivalenceReport(a_flag, b_flag, c_flag, d_flag, e_flag)

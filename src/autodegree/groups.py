@@ -12,6 +12,7 @@ twice.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import eq, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -142,6 +143,11 @@ class GroupTable(_Frozen):
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """``columns[b][a]`` is a*b: right multiplication by b as an image array."""
         return tuple(zip(*self.table))
+
+    @cached_property
+    def centralizer_sizes(self) -> tuple[int, ...]:
+        """|C_G(x)| for each element x, counted pair by pair against its column."""
+        return tuple(sum(map(eq, row, col)) for row, col in zip(self.table, self.columns))
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -384,9 +390,12 @@ class SubgroupSet(_Frozen):
 
     @cached_property
     def commuting_pairs(self) -> int:
-        """How many pairs (x, y) in H x G commute, counted pair by pair."""
-        t = self.parent.table
-        return sum(1 for x in self.members for y, xy in enumerate(t[x]) if xy == t[y][x])
+        """How many pairs (x, y) in H x G commute: |C_G(x)| summed over H.
+
+        Read from ``GroupTable.centralizer_sizes``, which no Aut table reads.
+        """
+        sizes = self.parent.centralizer_sizes
+        return sum(sizes[x] for x in self.members)
 
 
 def _require_same_parent(G: GroupTable, H: SubgroupSet) -> None:
@@ -584,7 +593,8 @@ def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
 
 def compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation a applied after b, as an image array: x -> a[b[x]]."""
-    return tuple(map(a.__getitem__, b))
+    # itemgetter of a single index returns the item itself, not a 1-tuple.
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
 
 
 def permutation_table(perms: Sequence[tuple[int, ...]], name: Optional[str] = None) -> GroupTable:

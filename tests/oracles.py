@@ -15,6 +15,7 @@ and calls its ``close_partial_map``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -98,6 +99,11 @@ def brute_fixed_pairs(table, h_members, auts) -> int:
 def brute_pr(table, h_members, auts) -> Fraction:
     """Fixed-pair probability over H x auts, counted pair by pair."""
     return Fraction(brute_fixed_pairs(table, h_members, auts), len(h_members) * len(auts))
+
+
+def brute_fixed_point_sets(auts) -> Counter:
+    """How many of the maps have each fixed-point set."""
+    return Counter(frozenset(x for x in range(len(a)) if a[x] == x) for a in auts)
 
 
 def brute_commuting_pr(table, h_members) -> Fraction:

@@ -1,15 +1,18 @@
-"""The automorphism action table against brute definitions, and its invariants.
+"""The automorphism action tables against brute definitions, and their invariants.
 
-``AutGroup.orbit_of`` and ``AutGroup.fixer_count`` are built once per group
-and read by every orbit, autocentre, autocommutator and degree; the
-per-subgroup records of ``AutGroup.action_on`` keep what is derived from
-them once per (H, A). These tests compare what they feed against
-definitions computed straight from the image arrays in ``oracles``, check
-that corrupting either table or a record's degree breaks formula agreement
-(so no degree formula is derived from another), that a record refuses a
-foreign subgroup and that a scan validates few subgroups, and that
-relabeling the elements leaves every invariant unchanged, the five
-equivalence flags and every scan record included.
+``AutGroup.orbit_of``, ``fixer_count``, ``stabilizer_sizes``,
+``fixed_point_sets`` and ``member_images``, and ``GroupTable.centralizer_sizes``,
+are built once per group and read by every orbit, autocentre,
+autocommutator, degree and equivalence check; the per-subgroup records of
+``AutGroup.action_on`` keep what is derived from them once per (H, A).
+These tests compare what they feed against definitions computed straight
+from the image arrays in ``oracles``, check that corrupting any one table
+or a record's degree moves only the results that read it (so no degree
+formula or equivalence condition is derived from another), that after a
+warm-up on the whole group no subgroup scans the members of A again, that
+a record refuses a foreign subgroup and that a scan validates few
+subgroups, and that relabeling the elements leaves every invariant
+unchanged, the five equivalence flags and every scan record included.
 """
 
 import contextlib
@@ -46,6 +49,7 @@ from autodegree.degree import (
     pr_commuting,
     pr_definition,
     pr_via_orbits,
+    pr_via_sums,
 )
 from autodegree.groups import (
     GroupTable,
@@ -104,6 +108,11 @@ def test_tables_tally_images_on_member_sets_that_are_not_groups():
             for x in g.elements():
                 assert A.orbit_of[x] == oracles.brute_orbit(g.table, auts, x)
                 assert A.fixer_count[x] == oracles.brute_fixed_pairs(g.table, (x,), auts)
+                assert A.stabilizer_sizes[x] == oracles.brute_fixed_pairs(g.table, (x,), auts)
+                assert A.member_images[x] == frozenset(oracles.brute_orbit(g.table, auts, x))
+            sets = dict(A.fixed_point_sets)
+            assert len(sets) == len(A.fixed_point_sets)
+            assert sets == oracles.brute_fixed_point_sets(auts)
 
 
 def corrupted_report(field, corrupt):
@@ -142,6 +151,100 @@ def test_corrupt_fixer_count_entry_breaks_formula_agreement():
     assert (report.pr_stab_sum, report.pr_fixed_sum, report.pr_orbit) == (
         honest.pr_stab_sum, honest.pr_fixed_sum, honest.pr_orbit
     )
+
+
+FORMULAS = ("pr_definition", "pr_stab_sum", "pr_fixed_sum", "pr_orbit")
+
+
+@pytest.mark.parametrize(
+    "field,corrupt,moved",
+    [
+        ("stabilizer_sizes", lambda sizes: sizes[:1] + (sizes[1] + 1,) + sizes[2:], "pr_stab_sum"),
+        ("fixed_point_sets", lambda sets: ((sets[0][0], sets[0][1] + 1),) + sets[1:], "pr_fixed_sum"),
+    ],
+)
+def test_corrupt_sum_table_moves_only_its_own_sum(field, corrupt, moved):
+    honest, report = corrupted_report(field, corrupt)
+    assert not report.formulas_agree()
+    assert [f for f in FORMULAS if getattr(report, f) != getattr(honest, f)] == [moved]
+
+
+def test_corrupt_centralizer_size_moves_only_the_commuting_side():
+    def bridge():
+        g = catalog_build("D(4)")
+        h, inn = whole_subgroup(g), compute_inn(g)
+        return g, lambda: (pr_commuting(h), pr_definition(h, inn), pr_via_orbits(h, inn))
+
+    _, honest = bridge()
+    honest = honest()
+    assert len(set(honest)) == 1
+    g, sides = bridge()
+    sizes = g.centralizer_sizes
+    vars(g)["centralizer_sizes"] = sizes[:1] + (sizes[1] + 1,) + sizes[2:]
+    commuting, inner, class_average = sides()
+    assert commuting != honest[0]
+    assert (inner, class_average) == honest[1:]
+
+
+def test_corrupt_member_images_move_d_and_e_but_not_b_and_c():
+    # The rotations of D(4) meet all five conditions. Merging the images
+    # {r, r^3} of r = 1 with the reflections 4-7 gives r a set on which its
+    # stabiliser is not normal, for (d), and autocommutators outside [H, A],
+    # for (e); (a), (b) and (c) do not read the table.
+    g = catalog_build("D(4)")
+    h = SubgroupSet(g, (0, 1, 2, 3))
+    assert equivalent_conditions(h, compute_aut(g)).flags() == (True,) * 5
+    A = compute_aut(g)
+    images = A.member_images
+    assert images[1] == {1, 3}
+    vars(A)["member_images"] = images[:1] + (images[1] | images[4],) + images[2:]
+    assert equivalent_conditions(h, A).flags() == (True, True, True, False, False)
+
+
+class Unreadable:
+    """A member sequence with a length that refuses iteration and indexing."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def refuse(self, *index):
+        raise AssertionError("the members of A were scanned for one subgroup")
+
+    __iter__ = __getitem__ = refuse
+
+
+def report_and_flags(h, A):
+    return vars(degree_report(h, A)), equivalence_flags(h, A)
+
+
+@pytest.mark.parametrize("name", ["Q8×C(4)", "D(4)×S(3)"])
+def test_no_member_scan_per_subgroup_after_a_whole_group_warm_up(name):
+    # Every per-subgroup formula and condition reads a per-group table, so
+    # once the whole group has filled them the members are never read again.
+    g = catalog_build(name)
+    subgroups = enumerate_subgroups(g, cap=48)
+    honest = compute_aut(g, cap=48)
+    expected = [report_and_flags(h, honest) for h in subgroups]
+    A = compute_aut(g, cap=48)
+    report_and_flags(whole_subgroup(g), A)
+    vars(A)["members"] = Unreadable(A.size)
+    assert [report_and_flags(h, A) for h in subgroups] == expected
+
+
+@pytest.mark.parametrize("name", ["Q8×C(4)", "D(4)×S(3)"])
+def test_sums_and_commuting_pairs_match_brute_on_every_subgroup_past_order_8(name):
+    g = catalog_build(name)
+    A = compute_aut(g, cap=48)
+    auts = [a.image for a in A.members]
+    for x in g.elements():
+        assert g.centralizer_sizes[x] == oracles.brute_commuting_pr(g.table, (x,)) * g.order
+    for h in enumerate_subgroups(g, cap=48):
+        pr = oracles.brute_pr(g.table, h.members, auts)
+        assert pr_via_sums(h, A) == (pr, pr)
+        assert pr_commuting(h) == oracles.brute_commuting_pr(g.table, h.members)
 
 
 def test_corrupt_memoised_degree_breaks_formula_agreement_only():

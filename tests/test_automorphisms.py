@@ -115,6 +115,24 @@ class TestComputeAut:
             with pytest.raises(InvariantError, match="not closed under composition"):
                 compute_aut(g)
 
+    def test_validate_rejects_a_repeated_member(self):
+        # Repeated, the inversion would weigh twice: |A| = 3 and Pr = 5/9, not 2/3.
+        g, a = aut_of("C(3)")
+        identity, inversion = a.members
+        with pytest.raises(InvariantError, match="strictly increasing"):
+            AutGroup(g, (identity, inversion, inversion)).validate()
+
+    def test_enumeration_listing_a_map_twice_is_caught(self, monkeypatch):
+        # The closure recheck reads the members as a set, so it cannot see a repeat.
+        def search(G1, G2):
+            for h in iter_isomorphisms(G1, G2):
+                yield h
+                yield h
+
+        monkeypatch.setattr(automorphisms, "iter_isomorphisms", search)
+        with pytest.raises(InvariantError, match="twice"):
+            compute_aut(catalog_build("C(3)"))
+
     def test_c2_c2_d4_past_the_default_cap(self):
         assert compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32).size == 3072
 

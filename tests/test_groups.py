@@ -571,6 +571,18 @@ class TestQuotients:
         assert embedding == (0, 3, 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compose_perms_applies_b_then_a(data):
+    # One point is its own branch: itemgetter of one index returns a scalar.
+    n = data.draw(st.integers(1, 10))
+    a = tuple(data.draw(st.permutations(range(n))))
+    b = tuple(data.draw(st.permutations(range(n))))
+    composed = groups.compose_perms(a, b)
+    assert type(composed) is tuple
+    assert composed == tuple(a[b[x]] for x in range(n))
+
+
 class TestIsomorphisms:
     def test_self_isomorphism_is_identity_first(self):
         g = catalog_build("C(6)")
