@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .groups import (
     ORDER_CAP,
@@ -84,6 +84,10 @@ class AutGroup(_Frozen):
     four of these tables (``fixer_count``, ``stabilizer_sizes``,
     ``fixed_point_sets``, ``orbit_of``), so their agreement stays a check.
 
+    :attr:`derived` builds each distinct autocentre L and [H, A] once per
+    group, so subgroups with one L, or one autocommutator set S, share one
+    certified :class:`SubgroupSet`. It holds no data any degree route reads.
+
     :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
     holding L, S, [H, A], X, the fixer-tally degree, H/L and the coset
     pairing, so each is computed once per (H, A) and dropped with this
@@ -140,6 +144,23 @@ class AutGroup(_Frozen):
     def actions(self) -> dict[tuple[int, ...], "SubgroupAction"]:
         """The per-subgroup records built so far, keyed by member tuple."""
         return {}
+
+    @cached_property
+    def derived(self) -> dict[tuple[str, tuple[int, ...]], object]:
+        """The derived subgroups built so far, each once however many records share it.
+
+        ``("autocentre", members)`` holds an autocentre L, ``("commutator", S)``
+        the subgroup [H, A] that the autocommutator set S generates, and
+        ``("table", members)`` that subgroup as its own group.
+        """
+        return {}
+
+    def derive(self, key: tuple[str, tuple[int, ...]], build: Callable[[], object]) -> object:
+        """The memo entry of :attr:`derived` under ``key``, built on first use."""
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = build()
+        return value
 
     def action_on(self, H: SubgroupSet) -> "SubgroupAction":
         """The one record of (H, A); H must be a subgroup of this group's parent."""
@@ -288,7 +309,9 @@ class SubgroupAction(_Frozen):
         H, orbits = self.subgroup, self.auts.orbit_of
         fixed = tuple(x for x in H.members if len(orbits[x]) == 1)
         # When A fixes all of H, L is H itself and needs no second validation.
-        return H if len(fixed) == H.size else SubgroupSet(H.parent, fixed)
+        if len(fixed) == H.size:
+            return H
+        return self.auts.derive(("autocentre", fixed), lambda: SubgroupSet(H.parent, fixed))
 
     @cached_property
     def autocommutators(self) -> tuple[int, ...]:
@@ -299,7 +322,10 @@ class SubgroupAction(_Frozen):
 
     @cached_property
     def commutator_subgroup(self) -> SubgroupSet:
-        return subgroup_closure(self.subgroup.parent, self.autocommutators)
+        seed = self.autocommutators
+        return self.auts.derive(
+            ("commutator", seed), lambda: subgroup_closure(self.subgroup.parent, seed)
+        )
 
     @cached_property
     def only_identity(self) -> tuple[int, ...]:
@@ -321,7 +347,8 @@ class SubgroupAction(_Frozen):
     @cached_property
     def commutator_group(self) -> GroupTable:
         """[H, A] as its own group: element i is ``commutator_subgroup.members[i]``."""
-        return subgroup_as_group(self.subgroup.parent, self.commutator_subgroup)[0]
+        K = self.commutator_subgroup
+        return self.auts.derive(("table", K.members), lambda: subgroup_as_group(K.parent, K)[0])
 
     @cached_property
     def commutator_position(self) -> dict[int, int]:

@@ -1,8 +1,9 @@
 """Command-line front end: compute, verify, isoclinic, groups list.
 
 Exit codes: 0 all checks passed, 1 theorem violation in a scan or an
-unequal-degree witness, 2 usage or input error, 3 a size cap was exceeded.
-Identical invocations produce byte-identical output.
+unequal-degree witness, 2 usage or input error, or a reader that closed
+stdout early, 3 a size cap was exceeded. Identical invocations produce
+byte-identical output.
 
 Output is written while it is produced, in chunks of about ``CHUNK_CHARS``
 characters, so ``verify`` and ``compute`` never hold their whole output:
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -103,10 +105,11 @@ def cmd_compute(args) -> int:
         if args.format == "kv":
             yield kv_line("compute.group", g.label())
             yield kv_line("compute.subgroup_spec", args.subgroup)
+            # The automorphism listing is the same for every subgroup but its prefix.
+            listing = [kv_line(f"aut.{j}", c) for j, c in enumerate(cycles)]
             for i, h in enumerate(subgroups):
                 yield from render_degree_kv(deg.degree_report(h, auts), prefix=f"report.{i}")
-                for j, c in enumerate(cycles):
-                    yield kv_line(f"report.{i}.aut.{j}", c)
+                yield from map(f"report.{i}.".__add__, listing)
         else:
             for i, h in enumerate(subgroups):
                 if i:
@@ -279,7 +282,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError as exc:
+        # Point stdout at devnull so the shutdown flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .automorphisms import (
@@ -72,10 +73,14 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
 
 
 def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
-    """Average of 1/|orbit(x)| over H (orbit-stabilizer form), one Fraction per orbit length."""
+    """Average of 1/|orbit(x)| over H (orbit-stabilizer form), as one Fraction.
+
+    With c_l members of H on orbits of length l and M the lcm of those
+    lengths, the average is (sum of c_l M / l) / (M |H|).
+    """
     counts = Counter(len(orbit(A, x)) for x in H.members)
-    total = sum((Fraction(c, length) for length, c in counts.items()), Fraction(0))
-    return total / H.size
+    m = lcm(*counts)
+    return Fraction(sum(c * (m // length) for length, c in counts.items()), m * H.size)
 
 
 def pr_commuting(H: SubgroupSet) -> Fraction:
@@ -193,13 +198,17 @@ def _sharp(p: int, q: int, k: int) -> Fraction:
 
 
 def _family(m: int, H: SubgroupSet, L: SubgroupSet) -> Fraction:
-    """The lower family (1/m)(1 + (m - 1)/|H : L|)."""
-    return Fraction(1, m) * (1 + Fraction(m - 1, H.size // L.size))
+    """The lower family (1/m)(1 + (m - 1)/|H : L|) = (|H : L| + m - 1)/(m |H : L|)."""
+    index = H.size // L.size
+    return Fraction(index + m - 1, m * index)
 
 
 def _lower(H: SubgroupSet, A: AutGroup, L: SubgroupSet, p: int, x: int) -> Fraction:
-    """The main lower form |L|/|H| + (p(|H| - x - |L|) + x)/(|H||A|), x = |X|."""
-    return Fraction(L.size, H.size) + Fraction(p * (H.size - x - L.size) + x, H.size * A.size)
+    """The main lower form |L|/|H| + (p(|H| - x - |L|) + x)/(|H||A|), x = |X|.
+
+    As one Fraction: (|L||A| + p(|H| - x - |L|) + x)/(|H||A|).
+    """
+    return Fraction(L.size * A.size + p * (H.size - x - L.size) + x, H.size * A.size)
 
 
 def _standing_assumptions(H: SubgroupSet, A: AutGroup) -> tuple[SubgroupSet, int, int]:
@@ -241,12 +250,13 @@ def bound_upper_main(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     p is the smallest prime dividing |A|; members outside the autocentre L
     and the only-identity-stabilizer set X have stabilizers of size at most
     |A|/p, which gives
-    Pr <= ((p-1)|L| + |H|) / (p|H|) - |X| (|A| - p) / (p |H| |A|).
+    Pr <= ((p-1)|L| + |H|) / (p|H|) - |X| (|A| - p) / (p |H| |A|),
+    built as one Fraction: (((p-1)|L| + |H|)|A| - |X|(|A| - p)) / (p|H||A|).
     """
     core, p, _ = _standing_assumptions(H, A)
     x = len(trivial_stabilizer_set(H, A))
-    bound = Fraction((p - 1) * core.size + H.size, p * H.size) - Fraction(
-        x * (A.size - p), p * H.size * A.size
+    bound = Fraction(
+        ((p - 1) * core.size + H.size) * A.size - x * (A.size - p), p * H.size * A.size
     )
     return BoundCheck("upper_main", pr_definition(H, A), bound, "upper", p=p)
 

@@ -424,9 +424,44 @@ def _orbit_points(perms: Sequence[tuple[int, ...]], seed: Iterable[int]) -> set[
     return seen
 
 
-def _closure_members(G: GroupTable, gens: Iterable[int]) -> set[int]:
-    """<gens> as the orbit of the identity under right multiplication by ``gens``."""
-    return _orbit_points([G.columns[s] for s in gens], [0])
+def _right_cosets(
+    G: GroupTable, base: tuple[int, ...], reps: Iterable[int], gens: Sequence[int]
+) -> set[int]:
+    """The union of the right cosets K r reached from ``reps`` by right multiplying by ``gens``.
+
+    ``base`` lists the members of a subgroup K. Each coset K r is read from
+    ``G.columns[r]`` with one ``itemgetter`` over K. A coset K r joins with
+    K (r s) for each s in ``gens``; since k r s lies in K (r s), the union is
+    closed under right multiplication by ``gens``, and the walk takes one
+    step per coset and generator, not per element and generator.
+    """
+    coset = itemgetter(*base) if len(base) > 1 else lambda column: (column[base[0]],)
+    columns, table = G.columns, G.table
+    members: set[int] = set()
+    queue = []
+    for r in reps:
+        if r not in members:
+            members.update(coset(columns[r]))
+            queue.append(r)
+    for r in queue:
+        row = table[r]
+        for s in gens:
+            y = row[s]
+            if y not in members:
+                members.update(coset(columns[y]))
+                queue.append(y)
+    return members
+
+
+def _closure_members(G: GroupTable, gens: Sequence[int], base: tuple[int, ...] = (0,)) -> set[int]:
+    """<gens> as a union of right cosets of K, the subgroup whose members ``base`` lists.
+
+    K must lie in <gens>. This is Dimino's method (Butler, Fundamental
+    Algorithms for Permutation Groups, 1991): the cosets of K reached from K
+    under right multiplication by ``gens`` make up <gens>, in
+    O(|<gens> : K| |gens|) steps.
+    """
+    return _right_cosets(G, base, (0,), gens)
 
 
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
@@ -453,18 +488,19 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
     Works by cyclic extension: start from the trivial subgroup and
     repeatedly extend each known subgroup K by a single new generator g;
     only a member tuple not seen before becomes a (validated) SubgroupSet.
-    Each subgroup keeps the generators that produced it, and an extension
-    closes those plus g rather than every member, so a closure costs
-    O(|K| log |G|) lookups.
+    Each subgroup keeps the generators that produced it, and <K, g> is
+    built coset by coset from K and those generators plus g
+    (:func:`_closure_members`), in O(|<K, g> : K| log |G|) steps.
 
     One closure per double coset: <K, a g b> = <K, g> for a, b in K, so
     after closing <K, g> the whole double coset K g K is marked covered
     and its other elements are skipped (Holt, Eick and O'Brien, Handbook
-    of Computational Group Theory, 2005, sec. 3.3). Elements are tried in
-    ascending order, so a skipped pair (K, g') always has an earlier pair
-    (K, g) with the same result: every subgroup keeps the seed it had
-    before, and K costs |K \\ G / K| - 1 closures instead of |G| - |K|.
-    Exhaustive, hence the order cap.
+    of Computational Group Theory, 2005, sec. 3.3). K g K is the union of
+    the right cosets K g b, reached from K g under K's generators. Elements
+    are tried in ascending order, so a skipped pair (K, g') always has an
+    earlier pair (K, g) with the same result: every subgroup keeps the seed
+    it had before, and K costs |K \\ G / K| - 1 closures instead of
+    |G| - |K|. Exhaustive, hence the order cap.
     """
     refuse_over_cap("subgroup enumeration", G.order, cap)
     trivial = trivial_subgroup(G)
@@ -473,18 +509,17 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
     while frontier:
         nxt = []
         for h, gens in frontier:
-            covered = set(h.members)
-            # K g K is the orbit of g under right and left multiplication by K's generators.
-            both_sides = [G.columns[s] for s in gens] + [G.table[s] for s in gens]
+            base = h.members
+            covered = set(base)
             for g in G.elements():
                 if g in covered:
                     continue
                 seed = gens + (g,)
-                members = tuple(sorted(_closure_members(G, seed)))
+                members = tuple(sorted(_closure_members(G, seed, base)))
                 if members not in found:
                     found[members] = SubgroupSet(G, members)
                     nxt.append((found[members], seed))
-                covered |= _orbit_points(both_sides, [g])
+                covered |= _right_cosets(G, base, (g,), gens)
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 

@@ -107,18 +107,15 @@ def render_degree_human(report: DegreeReport, cycles: Optional[list[str]] = None
 
 def describe_check(check: BoundCheck) -> str:
     sym = {"upper": "<=", "lower": ">=", "equal": "=="}[check.direction]
-    parts = [f"{check.value} {sym} {check.bound}"]
-    if check.is_equality and check.direction != "equal":
-        parts.append("equality")
-    if check.p is not None:
-        parts.append(f"p={check.p}")
-    if check.q is not None:
-        parts.append(f"q={check.q}")
-    if check.condition_met is not None:
-        parts.append(f"condition={'met' if check.condition_met else 'unmet'}")
-    if not check.hypothesis_met:
-        parts.append("hypothesis-unmet")
-    return " ".join(parts)
+    met = check.condition_met
+    return (
+        f"{check.value} {sym} {check.bound}"
+        f"{' equality' if check.is_equality and check.direction != 'equal' else ''}"
+        f"{'' if check.p is None else f' p={check.p}'}"
+        f"{'' if check.q is None else f' q={check.q}'}"
+        f"{'' if met is None else ' condition=met' if met else ' condition=unmet'}"
+        f"{'' if check.hypothesis_met else ' hypothesis-unmet'}"
+    )
 
 
 def describe_equality(report: EqualityReport) -> str:

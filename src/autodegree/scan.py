@@ -17,7 +17,7 @@ from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
 from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, _Frozen, enumerate_subgroups
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, cap_refusal, decide_autoisoclinism, make_pair
-from .reporting import describe_check, describe_equality, describe_equivalence
+from .reporting import describe_check, describe_equality, describe_equivalence, kv_line
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
     [f"C({n})" for n in range(1, 17)]
@@ -116,10 +116,9 @@ class _Scan:
 
     # ----- suites ---------------------------------------------------------
 
-    def formulas(self, entry: CatalogEntry, A, subs) -> None:
+    def formulas(self, entry: CatalogEntry, A, subs, labels) -> None:
         inn = am.compute_inn(entry.group)
-        for h in subs:
-            sub = _subgroup_label(h)
+        for h, sub in zip(subs, labels):
             rep = deg.degree_report(h, A)
             self.add(
                 "formulas", entry.name, sub, "formula_agreement",
@@ -144,8 +143,7 @@ class _Scan:
             for finding in rep.findings:
                 self.report.findings.append(f"{entry.name} [{sub}]: {finding}")
 
-    def upper(self, entry: CatalogEntry, A, subs) -> None:
-        labels = [_subgroup_label(h) for h in subs]
+    def upper(self, entry: CatalogEntry, A, subs, labels) -> None:
         for h, sub in zip(subs, labels):
             self.add_check("upper", entry.name, sub, deg.pr_le_commuting(h, A))
             try:
@@ -159,8 +157,9 @@ class _Scan:
                 continue
             for c in checks:
                 self.add_check("upper", entry.name, sub, c)
-        for h, h_label in zip(subs, labels):
-            for k, k_label in zip(subs, labels):
+        # subs is sorted by size, so no subgroup before H contains it but H itself.
+        for i, (h, h_label) in enumerate(zip(subs, labels)):
+            for k, k_label in zip(subs[i:], labels[i:]):
                 if h.member_set <= k.member_set:
                     c = deg.check_monotonicity(h, k, A)
                     ok = c.holds and (c.is_equality == c.condition_met)
@@ -170,9 +169,8 @@ class _Scan:
                         c.value, c.bound, describe_check(c),
                     )
 
-    def lower(self, entry: CatalogEntry, A, subs) -> None:
-        for h in subs:
-            sub = _subgroup_label(h)
+    def lower(self, entry: CatalogEntry, A, subs, labels) -> None:
+        for h, sub in zip(subs, labels):
             try:
                 main = deg.bound_lower_main(h, A)
                 sset = deg.bound_lower_S(h, A)
@@ -190,9 +188,8 @@ class _Scan:
             for c in commutator:
                 self.add_check("lower", entry.name, sub, c)
 
-    def equalities(self, entry: CatalogEntry, A, subs) -> None:
-        for h in subs:
-            sub = _subgroup_label(h)
+    def equalities(self, entry: CatalogEntry, A, subs, labels) -> None:
+        for h, sub in zip(subs, labels):
             try:
                 deg._standing_assumptions(h, A)
             except HypothesisError:
@@ -223,9 +220,8 @@ class _Scan:
                 for c in converse:
                     self.add_check("equalities", entry.name, sub, c)
 
-    def equivalence(self, entry: CatalogEntry, A, subs) -> None:
-        for h in subs:
-            sub = _subgroup_label(h)
+    def equivalence(self, entry: CatalogEntry, A, subs, labels) -> None:
+        for h, sub in zip(subs, labels):
             try:
                 rep = deg.equivalent_conditions(h, A)
             except HypothesisError as exc:
@@ -292,7 +288,7 @@ def run_scan(
         e for e in (catalog if catalog is not None else default_catalog())
         if e.group.order <= max_order
     ]
-    prepared: list[tuple[CatalogEntry, object, list[SubgroupSet]]] = []
+    prepared: list[tuple[CatalogEntry, object, list[SubgroupSet], list[str]]] = []
     for entry in entries:
         try:
             A = am.compute_aut(entry.group, cap=group_cap)
@@ -300,14 +296,14 @@ def run_scan(
         except SizeCapError as exc:
             report.warnings.append(f"{entry.name}: skipped ({exc})")
             continue
-        prepared.append((entry, A, subs))
+        prepared.append((entry, A, subs, [_subgroup_label(h) for h in subs]))
     for name in selected:
         if name == "isoclinism":
-            scan.isoclinism([(entry, A) for entry, A, _ in prepared])
+            scan.isoclinism([(entry, A) for entry, A, _, _ in prepared])
             continue
         runner: Callable = getattr(scan, name)
-        for entry, A, subs in prepared:
-            runner(entry, A, subs)
+        for entry, A, subs, labels in prepared:
+            runner(entry, A, subs, labels)
     if suite in ("equalities", "all"):
         for kind, count in sorted(scan.applicable.items()):
             if count == 0:
@@ -344,24 +340,29 @@ def render_scan_human(report: ScanReport) -> Iterator[str]:
 
 
 def render_scan_kv(report: ScanReport) -> Iterator[str]:
-    """The report as kv lines, one at a time."""
-    from .reporting import kv_line
+    """The report as kv lines, one at a time.
 
+    Each record's text fields are checked for a newline once, together; a
+    hit raises the :func:`kv_line` error of the first field that holds one.
+    """
     yield kv_line("scan.suite", report.suite)
     yield kv_line("scan.max_order", report.max_order)
     for i, r in enumerate(report.records):
-        prefix = f"record.{i}"
-        yield kv_line(f"{prefix}.suite", r.suite)
-        yield kv_line(f"{prefix}.group", r.group)
-        yield kv_line(f"{prefix}.subgroup", r.subgroup)
-        yield kv_line(f"{prefix}.name", r.name)
-        yield kv_line(f"{prefix}.status", r.status)
+        p = f"record.{i}"
+        if "\n" in f"{r.suite}{r.group}{r.subgroup}{r.name}{r.status}{r.detail}":
+            for field in ("suite", "group", "subgroup", "name", "status", "detail"):
+                kv_line(f"{p}.{field}", getattr(r, field))
+        yield f"{p}.suite={r.suite}"
+        yield f"{p}.group={r.group}"
+        yield f"{p}.subgroup={r.subgroup}"
+        yield f"{p}.name={r.name}"
+        yield f"{p}.status={r.status}"
         if r.value is not None:
-            yield kv_line(f"{prefix}.value", r.value)
+            yield f"{p}.value={r.value}"
         if r.bound is not None:
-            yield kv_line(f"{prefix}.bound", r.bound)
+            yield f"{p}.bound={r.bound}"
         if r.detail:
-            yield kv_line(f"{prefix}.detail", r.detail)
+            yield f"{p}.detail={r.detail}"
     for i, w in enumerate(report.warnings):
         yield kv_line(f"warning.{i}", w)
     for i, f in enumerate(report.findings):

@@ -1,5 +1,7 @@
 """Automorphism engine: Aut/Inn computation and action-derived structures."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +27,15 @@ from autodegree.groups import (
     InvariantError,
     ParentMismatchError,
     SizeCapError,
+    SubgroupSet,
+    enumerate_subgroups,
     iter_isomorphisms,
+    subgroup_as_group,
     subgroup_closure,
     trivial_subgroup,
     whole_subgroup,
 )
+from autodegree.scan import CatalogEntry, run_scan
 
 
 def aut_of(name: str) -> tuple:
@@ -383,3 +389,77 @@ class TestAutomorphismBasics:
         x = data.draw(st.integers(0, g.order - 1))
         stab = stabilizer(a, x)
         stab.validate()
+
+
+def _lattice_and_aut(name: str) -> tuple:
+    g = catalog_build(name)
+    return g, enumerate_subgroups(g, cap=48), compute_aut(g, cap=48)
+
+
+def _record_rows(report) -> list[tuple]:
+    return [(r.suite, r.group, r.subgroup, r.name, r.status, r.value, r.bound, r.detail)
+            for r in report.records]
+
+
+@pytest.mark.parametrize("name", ["D(4)×S(3)", "C(2)×S(4)"])
+class TestDerivedMemo:
+    """The autocentres and [H, A] that ``AutGroup.derived`` shares between subgroups."""
+
+    def test_each_subgroup_reads_the_oracle_values(self, name):
+        g, subs, a = _lattice_and_aut(name)
+        images = [m.image for m in a.members]
+        for h in subs:
+            record = a.action_on(h)
+            assert record.autocentre.members == oracles.brute_autocentre(h.members, images)
+            seed = oracles.brute_autocommutators(g.table, h.members, images)
+            assert record.commutator_subgroup.members == oracles.brute_closure(g.table, seed)
+            standalone, _ = subgroup_as_group(g, record.commutator_subgroup)
+            assert record.commutator_group == standalone
+
+    def test_subgroups_with_one_seed_share_one_commutator_subgroup(self, name):
+        _, subs, a = _lattice_and_aut(name)
+        by_seed: dict[tuple[int, ...], set[int]] = {}
+        for h in subs:
+            record = a.action_on(h)
+            by_seed.setdefault(record.autocommutators, set()).add(id(record.commutator_subgroup))
+        assert len(by_seed) > 1
+        assert all(len(ids) == 1 for ids in by_seed.values())
+
+    def test_each_distinct_subgroup_is_certified_once(self, name, monkeypatch):
+        _, subs, a = _lattice_and_aut(name)
+        built = []
+        validate = SubgroupSet.__post_init__
+
+        def counting(self):
+            built.append(self.members)
+            validate(self)
+
+        monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+        cores, seeds = set(), set()
+        for h in subs:
+            record = a.action_on(h)
+            core = record.autocentre
+            if core is not h:
+                cores.add(core.members)
+            seeds.add(record.autocommutators)
+            record.commutator_group
+        closures = [oracles.brute_closure(a.parent.table, s) for s in seeds]
+        assert sorted(built) == sorted(list(cores) + closures)
+
+
+def test_a_corrupt_memo_entry_moves_only_the_records_of_its_seed(monkeypatch):
+    name = "D(4)×S(3)"
+    g, subs, a = _lattice_and_aut(name)
+    entry = CatalogEntry(name, g)
+    clean = _record_rows(run_scan("all", max_order=48, catalog=(entry,), group_cap=48))
+    # The seed of the whole group, whose [H, A] has order 12, gets the trivial subgroup.
+    seed = a.action_on(whole_subgroup(g)).autocommutators
+    a.derived[("commutator", seed)] = trivial_subgroup(g)
+    monkeypatch.setattr(automorphisms, "compute_aut", lambda group, cap: a)
+    corrupt = _record_rows(run_scan("all", max_order=48, catalog=(entry,), group_cap=48))
+    labels = {"whole" if h.is_whole() else ",".join(map(str, h.members))
+              for h in subs if a.action_on(h).autocommutators == seed}
+    before, after = Counter(clean), Counter(corrupt)
+    moved = (before - after) + (after - before)
+    assert moved
+    assert {row[2] for row in moved} <= labels

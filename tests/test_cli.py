@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autodegree import cli, groups
+from autodegree.catalog import catalog_build
 from autodegree.cli import main
 from autodegree.degree import BoundCheck
 from autodegree.groups import GroupTable
 from autodegree.reporting import kv_line, parse_kv
+from autodegree.scan import CatalogEntry, render_scan_kv, run_scan
 
 
 def run(capsys, *argv):
@@ -200,6 +202,11 @@ class TestKvRoundTrip:
         code, out, err = run(capsys, command, *argv, "--format", "kv")
         assert (code, out) == (2, "")
         assert err.startswith("error: unserializable kv pair: ")
+
+    def test_scan_record_with_a_newline_is_refused(self):
+        report = run_scan("formulas", catalog=(CatalogEntry("C2\nbad", catalog_build("C(2)")),))
+        with pytest.raises(ValueError, match=r"^unserializable kv pair: 'record\.0\.group'="):
+            list(render_scan_kv(report))
 
 
 class TestIsoclinic:

@@ -167,3 +167,26 @@ def test_e24_compute_all_streams_within_memory_bound(tmp_path):
     if sys.platform.startswith("linux"):
         peak_kib = int(re.search(rb"VmHWM:\s*(\d+) kB", done.stderr).group(1))
         assert peak_kib / 1024 < PEAK_RSS_BOUND_MB
+
+
+# S(4)'s kv listing is 70,497 bytes: more than a 64 KiB pipe holds. Read one
+# line a byte at a time and close the pipe, and the child still has output to
+# write, whether stdout is block-buffered (its tail waits in the buffer) or
+# not; that write must fail into the one error line, not into a traceback.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_gives_one_error_line(unbuffered):
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["compute", "--group", "S(4)", "--subgroup", "all", "--format", "kv"]
+    child = subprocess.Popen([sys.executable, "-m", "autodegree", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = b""
+    while not first.endswith(b"\n"):
+        first += os.read(child.stdout.fileno(), 1)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert first == "compute.group=S(4)\n".encode("utf-8")
+    assert err.decode("utf-8").splitlines() == ["error: [Errno 32] Broken pipe"]
+    assert child.returncode == 2

@@ -1,5 +1,6 @@
 """Group core: parsing, catalog construction, and structural queries."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -30,6 +31,7 @@ from autodegree.catalog import (
 from autodegree.groups import (
     AxiomError,
     GroupHom,
+    GroupTable,
     InvariantError,
     ParentMismatchError,
     PreconditionError,
@@ -376,6 +378,12 @@ class TestElementOps:
             z4.element_order(-1)
 
 
+@functools.lru_cache(maxsize=None)
+def coset_kernel_lattice(name: str) -> tuple[GroupTable, list[SubgroupSet]]:
+    g = catalog_build(name)
+    return g, enumerate_subgroups(g, cap=48)
+
+
 class TestSubgroups:
     def test_closure_of_single_element(self):
         z4 = cyclic(4)
@@ -412,11 +420,12 @@ class TestSubgroups:
 
     @pytest.mark.parametrize(
         "name",
-        ["S(4)", "C(2)×C(2)×C(2)×C(3)", "Q8×C(4)", "C(2)×S(4)", "D(4)×S(3)", "C(2)×C(2)×A(4)"],
+        ["S(4)", "C(2)×C(2)×C(2)×C(3)", "Q8×C(4)", "C(2)×S(4)", "D(4)×S(3)", "C(2)×C(2)×A(4)",
+         "D(4)×D(4)"],
     )
     def test_enumeration_matches_cyclic_join_lattice_past_order_12(self, name):
         g = catalog_build(name)
-        got = [s.members for s in enumerate_subgroups(g, cap=48)]
+        got = [s.members for s in enumerate_subgroups(g, cap=64)]
         assert got == oracles.brute_subgroup_lattice(g.table)
 
     @pytest.mark.parametrize("name", ["D(4)", "S(4)", "C(2)×S(4)"])
@@ -426,14 +435,29 @@ class TestSubgroups:
         closures = []
         close = groups._closure_members
 
-        def counting(G, gens):
+        def counting(G, gens, base):
             closures.append(gens)
-            return close(G, gens)
+            return close(G, gens, base)
 
         monkeypatch.setattr(groups, "_closure_members", counting)
         subs = enumerate_subgroups(g, cap=48)
         expected = sum(len(oracles.brute_double_cosets(g.table, s.members)) - 1 for s in subs)
         assert len(closures) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_coset_wise_closure_and_double_coset_match_the_oracles(self, data):
+        g, subs = coset_kernel_lattice(data.draw(st.sampled_from(["D(4)×S(3)", "C(2)×C(2)×A(4)"])))
+        k = data.draw(st.sampled_from(subs))
+        g_elt = data.draw(st.integers(0, g.order - 1))
+        standalone, embedding = subgroup_as_group(g, k)
+        gens = tuple(embedding[i] for i in standalone.generators)
+        assert oracles.brute_closure(g.table, gens) == k.members
+        closed = groups._closure_members(g, gens + (g_elt,), k.members)
+        assert tuple(sorted(closed)) == oracles.brute_closure(g.table, k.members + (g_elt,))
+        double = groups._right_cosets(g, k.members, (g_elt,), gens)
+        expected = next(d for d in oracles.brute_double_cosets(g.table, k.members) if g_elt in d)
+        assert double == expected
 
     def test_cap_respected(self):
         with pytest.raises(SizeCapError):
