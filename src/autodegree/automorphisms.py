@@ -23,6 +23,7 @@ from .groups import (
     Quotient,
     SubgroupSet,
     _Frozen,
+    _closure_members,
     _require_same_parent,
     closure_witness,
     compose_perms,
@@ -31,7 +32,6 @@ from .groups import (
     quotient_group,
     refuse_over_cap,
     subgroup_as_group,
-    subgroup_closure,
 )
 
 
@@ -68,6 +68,10 @@ class Automorphism(_Frozen):
         return "".join(out) or "id"
 
 
+# Marks a memo key with nothing built yet; None is a value that can be built.
+_UNBUILT = object()
+
+
 class AutGroup(_Frozen):
     """A composition-closed set of automorphisms, in strictly increasing image order.
 
@@ -84,9 +88,11 @@ class AutGroup(_Frozen):
     four of these tables (``fixer_count``, ``stabilizer_sizes``,
     ``fixed_point_sets``, ``orbit_of``), so their agreement stays a check.
 
-    :attr:`derived` builds each distinct autocentre L and [H, A] once per
-    group, so subgroups with one L, or one autocommutator set S, share one
-    certified :class:`SubgroupSet`. It holds no data any degree route reads.
+    :attr:`derived` is the one memo of what is built from (H, A), read
+    through :meth:`derive`: the (H, A) records of :meth:`action_on`, each
+    certified subgroup once per member tuple, however many records share
+    it as H, L or [H, A], and the group induced on each orbit. No degree
+    route reads it.
 
     :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
     holding L, S, [H, A], X, the fixer-tally degree, H/L and the coset
@@ -95,7 +101,7 @@ class AutGroup(_Frozen):
     its own route: ``pr_via_sums`` (the stabiliser and fixed-set tables),
     ``pr_via_orbits`` (the orbit table), ``pr_commuting`` (the centraliser
     table of G, the other side of the Inn bridge), and equivalence (d) and
-    (e), which read ``member_images`` and ``induced``.
+    (e), which read ``member_images`` and the induced groups.
     """
 
     def __init__(self, parent: GroupTable, members: tuple[Automorphism, ...]):
@@ -136,38 +142,36 @@ class AutGroup(_Frozen):
         return tuple(frozenset(map(itemgetter(x), images)) for x in self.parent.elements())
 
     @cached_property
-    def induced(self) -> dict[int, Optional[GroupTable]]:
-        """Equivalence (d)'s group induced on each orbit so far, keyed by its least point."""
-        return {}
-
-    @cached_property
-    def actions(self) -> dict[tuple[int, ...], "SubgroupAction"]:
-        """The per-subgroup records built so far, keyed by member tuple."""
-        return {}
-
-    @cached_property
     def derived(self) -> dict[tuple[str, tuple[int, ...]], object]:
-        """The derived subgroups built so far, each once however many records share it.
+        """What is built from (H, A) so far, each once per group, by kind and member tuple.
 
-        ``("autocentre", members)`` holds an autocentre L, ``("commutator", S)``
-        the subgroup [H, A] that the autocommutator set S generates, and
-        ``("table", members)`` that subgroup as its own group.
+        ``("action", members of H)`` holds the :class:`SubgroupAction` of H;
+        ``("subgroup", members)`` the one certified :class:`SubgroupSet` with
+        those members, registered by the first record whose H, L or [H, A]
+        it is; ``("commutator", S)`` the entry of the subgroup [H, A] that
+        the autocommutator set S generates; ``("table", members)`` that
+        subgroup as its own group; ``("induced", (x,))`` the group induced
+        on the orbit with least point x, or None when Stab(x) is not normal.
         """
         return {}
 
     def derive(self, key: tuple[str, tuple[int, ...]], build: Callable[[], object]) -> object:
-        """The memo entry of :attr:`derived` under ``key``, built on first use."""
-        value = self.derived.get(key)
-        if value is None:
+        """The memo entry of :attr:`derived` under ``key``, built on first use.
+
+        A stored None counts as built: it is not built again.
+        """
+        value = self.derived.get(key, _UNBUILT)
+        if value is _UNBUILT:
             value = self.derived[key] = build()
         return value
 
     def action_on(self, H: SubgroupSet) -> "SubgroupAction":
         """The one record of (H, A); H must be a subgroup of this group's parent."""
         _require_same_parent(self.parent, H)
-        record = self.actions.get(H.members)
+        record = self.derived.get(("action", H.members))
         if record is None:
-            record = self.actions[H.members] = SubgroupAction(H, self)
+            record = self.derived["action", H.members] = SubgroupAction(H, self)
+            self.derived.setdefault(("subgroup", H.members), H)
         return record
 
     def validate(self) -> None:
@@ -308,10 +312,7 @@ class SubgroupAction(_Frozen):
     def autocentre(self) -> SubgroupSet:
         H, orbits = self.subgroup, self.auts.orbit_of
         fixed = tuple(x for x in H.members if len(orbits[x]) == 1)
-        # When A fixes all of H, L is H itself and needs no second validation.
-        if len(fixed) == H.size:
-            return H
-        return self.auts.derive(("autocentre", fixed), lambda: SubgroupSet(H.parent, fixed))
+        return self.auts.derive(("subgroup", fixed), lambda: SubgroupSet(H.parent, fixed))
 
     @cached_property
     def autocommutators(self) -> tuple[int, ...]:
@@ -322,10 +323,13 @@ class SubgroupAction(_Frozen):
 
     @cached_property
     def commutator_subgroup(self) -> SubgroupSet:
-        seed = self.autocommutators
-        return self.auts.derive(
-            ("commutator", seed), lambda: subgroup_closure(self.subgroup.parent, seed)
-        )
+        G, A, seed = self.subgroup.parent, self.auts, self.autocommutators
+
+        def close() -> SubgroupSet:
+            members = tuple(sorted(_closure_members(G, seed)))
+            return A.derive(("subgroup", members), lambda: SubgroupSet(G, members))
+
+        return A.derive(("commutator", seed), close)
 
     @cached_property
     def only_identity(self) -> tuple[int, ...]:

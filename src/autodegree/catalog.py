@@ -209,12 +209,12 @@ def dicyclic3() -> GroupTable:
 # Each atom of the grammar: its pattern, its order from the parameters
 # (refusing bad ones without building anything), and its constructor.
 _ATOMS = (
-    (r"C\((\d+)\)", _cyclic_order, cyclic),
-    (r"D\((\d+)\)", _dihedral_order, dihedral),
+    (r"C\(([0-9]+)\)", _cyclic_order, cyclic),
+    (r"D\(([0-9]+)\)", _dihedral_order, dihedral),
     (r"Q8", lambda: 8, quaternion8),
-    (r"S\((\d+)\)", _symmetric_order, symmetric),
+    (r"S\(([0-9]+)\)", _symmetric_order, symmetric),
     (r"A\(4\)", lambda: 12, alternating4),
-    (r"E\((\d+),(\d+)\)", _elementary_order, elementary_abelian),
+    (r"E\(([0-9]+),([0-9]+)\)", _elementary_order, elementary_abelian),
     (r"M16", lambda: 16, modular16),
     (r"Dic\(3\)", lambda: 12, dicyclic3),
 )

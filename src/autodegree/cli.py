@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 from . import automorphisms as am
 from . import degree as deg
 from .catalog import catalog_build, catalog_order
-from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
+from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, _ascii_int, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
@@ -87,7 +87,7 @@ def select_subgroups(g: GroupTable, spec: str) -> list[SubgroupSet]:
     if spec.startswith("gens="):
         body = spec[len("gens="):]
         try:
-            gens = [int(p) for p in body.split(",") if p != ""]
+            gens = [_ascii_int(p) for p in body.split(",") if p != ""]
         except ValueError:
             raise GroupError(f"bad generator list {body!r}; expected gens=i,j,...") from None
         return [subgroup_closure(g, gens)]
@@ -143,26 +143,6 @@ def parse_pair_spec(spec: str):
     return g, h
 
 
-def _render_witness_kv(witness) -> list[str]:
-    return [
-        kv_line("witness.psi", format_members(witness.psi.image)),
-        kv_line("witness.gamma", format_members(witness.gamma.image)),
-        kv_line("witness.beta", format_members(witness.beta.image)),
-    ]
-
-
-def _render_witness_human(witness) -> list[str]:
-    def table(label, hom):
-        mapping = " ".join(f"{a}->{b}" for a, b in enumerate(hom.image))
-        return f"{label}: {mapping}"
-
-    return [
-        table("psi (quotient map)", witness.psi),
-        table("gamma (automorphism-group map)", witness.gamma),
-        table("beta (commutator-subgroup map)", witness.beta),
-    ]
-
-
 def cmd_isoclinic(args) -> int:
     g1, h1 = parse_pair_spec(args.pair1)
     g2, h2 = parse_pair_spec(args.pair2)
@@ -170,42 +150,36 @@ def cmd_isoclinic(args) -> int:
     # Equal tables under equal labels share Aut, so it is computed once.
     same_group = g2 == g1 and g2.label() == g1.label()
     p2 = make_pair(g2, h2, auts=p1.auts if same_group else None)
-    kv = args.format == "kv"
-    lines: list[str] = []
-    if kv:
-        lines.append(kv_line("isoclinic.pair1", p1.label()))
-        lines.append(kv_line("isoclinic.pair2", p2.label()))
-    else:
-        lines.append(f"pair 1: {p1.label()}")
-        lines.append(f"pair 2: {p2.label()}")
-    exit_code = 0
     witness, why, check = decide_autoisoclinism(
         p1, p2, aut_cap=args.aut_cap, quotient_cap=args.witness_cap
     )
+    # Each row is (kv key, kv value, human line); a row without a human line is kv only.
+    rows = [
+        ("isoclinic.pair1", p1.label(), f"pair 1: {p1.label()}"),
+        ("isoclinic.pair2", p2.label(), f"pair 2: {p2.label()}"),
+    ]
     if witness is None:
-        lines.append(kv_line("isoclinic.status", "no-witness") if kv else "status: no witness")
+        rows.append(("isoclinic.status", "no-witness", "status: no witness"))
     elif check is None:
-        lines.append(
-            kv_line("isoclinic.status", f"invalid-witness:{why}") if kv
-            else f"status: INVALID witness ({why})"
-        )
-        exit_code = 1
+        rows.append(("isoclinic.status", f"invalid-witness:{why}",
+                     f"status: INVALID witness ({why})"))
     else:
-        status = "witness" if check.holds else "witness-degree-mismatch"
-        if kv:
-            lines.append(kv_line("isoclinic.status", status))
-            lines.extend(_render_witness_kv(witness))
-            lines.append(kv_line("isoclinic.degree1", check.value))
-            lines.append(kv_line("isoclinic.degree2", check.bound))
-        else:
-            lines.append("status: witness found and verified")
-            lines.extend(_render_witness_human(witness))
-            relation = "=" if check.holds else "!="
-            lines.append(f"degrees: {check.value} {relation} {check.bound}")
-        if not check.holds:
-            exit_code = 1
-    _emit(lines)
-    return exit_code
+        rows.append(("isoclinic.status", "witness" if check.holds else "witness-degree-mismatch",
+                     "status: witness found and verified"))
+        for name, role, hom in (("psi", "quotient map", witness.psi),
+                                ("gamma", "automorphism-group map", witness.gamma),
+                                ("beta", "commutator-subgroup map", witness.beta)):
+            mapping = " ".join(f"{a}->{b}" for a, b in enumerate(hom.image))
+            rows.append((f"witness.{name}", format_members(hom.image), f"{name} ({role}): {mapping}"))
+        relation = "=" if check.holds else "!="
+        rows.append(("isoclinic.degree1", check.value,
+                     f"degrees: {check.value} {relation} {check.bound}"))
+        rows.append(("isoclinic.degree2", check.bound, None))
+    if args.format == "kv":
+        _emit(kv_line(key, value) for key, value, _ in rows)
+    else:
+        _emit(line for _, _, line in rows if line is not None)
+    return 0 if witness is None or (check is not None and check.holds) else 1
 
 
 def cmd_groups(args) -> int:
@@ -223,6 +197,13 @@ def cmd_groups(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer written in ASCII digits."""
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autodegree",
@@ -238,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="human-readable or machine-readable key-value output")
 
     def add_witness_caps(p):
-        p.add_argument("--aut-cap", type=int, default=AUT_CAP,
+        p.add_argument("--aut-cap", type=_positive_int, default=AUT_CAP,
                        help=f"witness-search cap on |Aut| (default {AUT_CAP})")
-        p.add_argument("--witness-cap", type=int, default=QUOTIENT_CAP,
+        p.add_argument("--witness-cap", type=_positive_int, default=QUOTIENT_CAP,
                        help=f"witness-search cap on the quotient order (default {QUOTIENT_CAP})")
 
     p_compute = sub.add_parser("compute", help="degree report for one group (or file)")
@@ -252,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run a verification suite over the catalog")
-    p_verify.add_argument("--max-order", type=int, default=12,
+    p_verify.add_argument("--max-order", type=_positive_int, default=12,
                           help="largest group order to scan (default 12)")
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     add_witness_caps(p_verify)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Optional
 
@@ -475,23 +476,16 @@ class EquivalenceReport(_Frozen):
 
 
 def _induced_on_orbit(A: AutGroup, x: int) -> Optional[GroupTable]:
-    """The group A induces on orbit(x) if Stab(x) is normal in A, else None.
-
-    Kept in ``A.induced`` under x, which callers pass as the orbit's least point.
-    """
-    if x in A.induced:
-        return A.induced[x]
+    """The group A induces on orbit(x) if Stab(x) is normal in A, else None."""
     points = sorted(A.member_images[x])
     if any(a.image[y] != y for a in A.members if a.image[x] == x for y in points):
-        A.induced[x] = None
         return None
     pos = {y: i for i, y in enumerate(points)}
     # The identity restriction is the least, so it lands at index 0.
     induced = sorted({tuple(pos[a.image[y]] for y in points) for a in A.members})
     if len(induced) != len(points):
         raise InvariantError(f"{len(induced)} induced permutations on an orbit of {len(points)}")
-    A.induced[x] = permutation_table(induced)
-    return A.induced[x]
+    return permutation_table(induced)
 
 
 def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
@@ -539,7 +533,7 @@ def equivalent_conditions(H: SubgroupSet, A: AutGroup) -> EquivalenceReport:
     k_group = A.action_on(H).commutator_group
     images = A.member_images
     reps = sorted({min(images[x]) for x in outside})
-    quotients = [_induced_on_orbit(A, r) for r in reps]
+    quotients = [A.derive(("induced", (r,)), partial(_induced_on_orbit, A, r)) for r in reps]
     d_flag = all(q is not None and find_isomorphism(q, k_group) is not None for q in quotients)
     e_flag = all({t[invs[x]][y] for y in images[x]} == kset for x in outside)
     return EquivalenceReport(a_flag, b_flag, c_flag, d_flag, e_flag)

@@ -11,6 +11,7 @@ twice.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from operator import eq, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
@@ -213,6 +214,13 @@ def validate_group_table(g: GroupTable) -> None:
     g.inverses  # raises AxiomError for an element without a two-sided inverse
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for a signed run of ASCII digits only, not ``_`` or other scripts' digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of each line that is neither blank nor a '#' comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -225,7 +233,7 @@ def _read_order(data: Iterator[tuple[int, str]]) -> int:
     """The group order n from the first data line, which it consumes."""
     for lineno, line in data:
         try:
-            n = int(line)
+            n = _ascii_int(line)
         except ValueError:
             raise TableParseError(f"expected the group order, got {line!r}", lineno) from None
         if n <= 0:
@@ -263,7 +271,7 @@ def parse_group_table(text: str) -> GroupTable:
         if len(parts) != n:
             raise TableParseError(f"expected {n} entries, got {len(parts)}", lineno)
         try:
-            entries = tuple(int(p) for p in parts)
+            entries = tuple(map(_ascii_int, parts))
         except ValueError:
             raise TableParseError(f"non-integer entry in row {line!r}", lineno) from None
         for e in entries:

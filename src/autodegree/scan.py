@@ -232,10 +232,10 @@ class _Scan:
                      "pass" if rep.consistent else "fail",
                      detail=describe_equivalence(rep))
 
-    def isoclinism(self, entries: list[tuple[CatalogEntry, object]]) -> None:
+    def isoclinism(self, entries: list[tuple[CatalogEntry, object, SubgroupSet]]) -> None:
         pairs = []
-        for entry, A in entries:
-            pair = make_pair(entry.group, auts=A)
+        for entry, A, whole in entries:
+            pair = make_pair(entry.group, whole, auts=A)
             refusal = cap_refusal(pair, self.aut_cap, self.quotient_cap)
             if refusal is not None:
                 self.report.warnings.append(
@@ -296,10 +296,14 @@ def run_scan(
         except SizeCapError as exc:
             report.warnings.append(f"{entry.name}: skipped ({exc})")
             continue
+        # Record the lattice first, so no L or [H, A] is certified a second time.
+        for h in subs:
+            A.action_on(h)
         prepared.append((entry, A, subs, [_subgroup_label(h) for h in subs]))
     for name in selected:
         if name == "isoclinism":
-            scan.isoclinism([(entry, A) for entry, A, _, _ in prepared])
+            # subs is sorted by order, so its last member is the whole group.
+            scan.isoclinism([(entry, A, subs[-1]) for entry, A, subs, _ in prepared])
             continue
         runner: Callable = getattr(scan, name)
         for entry, A, subs, labels in prepared:

@@ -425,8 +425,21 @@ class TestDerivedMemo:
         assert len(by_seed) > 1
         assert all(len(ids) == 1 for ids in by_seed.values())
 
-    def test_each_distinct_subgroup_is_certified_once(self, name, monkeypatch):
+    def test_each_distinct_derived_subgroup_is_one_object(self, name):
+        # C(2)×S(4) has 16 distinct S but 4 distinct [H, A]: the S share their closures.
         _, subs, a = _lattice_and_aut(name)
+        by_members: dict[tuple[int, ...], set[int]] = {}
+        for h in subs:
+            record = a.action_on(h)
+            for k in (record.autocentre, record.commutator_subgroup):
+                by_members.setdefault(k.members, set()).add(id(k))
+        assert all(len(ids) == 1 for ids in by_members.values())
+
+    def test_each_distinct_subgroup_is_certified_once(self, name, monkeypatch):
+        # A whole scan records the lattice first, so it certifies each of the
+        # 120 subgroups of D(4)×S(3), or the 98 of C(2)×S(4), once, when it is
+        # enumerated, and every L and [H, A] is one of them.
+        g = catalog_build(name)
         built = []
         validate = SubgroupSet.__post_init__
 
@@ -435,16 +448,29 @@ class TestDerivedMemo:
             validate(self)
 
         monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
-        cores, seeds = set(), set()
+        run_scan("all", max_order=48, catalog=(CatalogEntry(name, g),), group_cap=48)
+        assert len(built) == {"D(4)×S(3)": 120, "C(2)×S(4)": 98}[name]
+        assert len(set(built)) == len(built)
+
+    def test_a_recorded_subgroup_is_never_certified_again(self, name, monkeypatch):
+        # Read H by H in lattice order, an L or [H, A] with the members of an
+        # already recorded H reuses it; only a larger [H, A] is certified.
+        _, subs, a = _lattice_and_aut(name)
+        recorded: set[tuple[int, ...]] = set()
+        again, built = [], []
+        validate = SubgroupSet.__post_init__
+
+        def counting(self):
+            (again if self.members in recorded else built).append(self.members)
+            validate(self)
+
+        monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
         for h in subs:
             record = a.action_on(h)
-            core = record.autocentre
-            if core is not h:
-                cores.add(core.members)
-            seeds.add(record.autocommutators)
-            record.commutator_group
-        closures = [oracles.brute_closure(a.parent.table, s) for s in seeds]
-        assert sorted(built) == sorted(list(cores) + closures)
+            recorded.add(h.members)
+            record.autocentre, record.commutator_subgroup, record.commutator_group
+        assert again == []
+        assert len(built) == len(set(built)) > 0
 
 
 def test_a_corrupt_memo_entry_moves_only_the_records_of_its_seed(monkeypatch):

@@ -209,6 +209,29 @@ class TestKvRoundTrip:
             list(render_scan_kv(report))
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-order", "-1"),
+    ("verify", "--max-order", "0"),
+    ("verify", "--max-order", "\u0663"),
+    ("verify", "--max-order", "1_2"),
+    ("verify", "--aut-cap", "-5"),
+    ("verify", "--witness-cap", "0"),
+    ("isoclinic", "C(4)", "C(4)", "--aut-cap", "-5"),
+    ("isoclinic", "C(4)", "C(4)", "--witness-cap", "\uff12"),
+])
+def test_numeric_flags_below_one_or_in_other_digits_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected a positive integer" in err
+
+
+@pytest.mark.parametrize("spec", ["gens=1_0", "gens=\u0661", "gens= 1"])
+def test_generator_list_in_ascii_digits_only(capsys, spec):
+    code, out, err = run(capsys, "compute", "--group", "C(4)", "--subgroup", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad generator list")
+
+
 class TestIsoclinic:
     def test_reflexive_c4(self, capsys):
         code, out, _ = run(capsys, "isoclinic", "C(4)", "C(4)")

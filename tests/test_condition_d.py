@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from autodegree import degree
 from autodegree.automorphisms import (
     AutGroup,
     Automorphism,
@@ -25,7 +26,7 @@ from autodegree.automorphisms import (
     compute_aut,
     orbit,
 )
-from autodegree.catalog import catalog_build, cyclic
+from autodegree.catalog import catalog_build, cyclic, symmetric
 from autodegree.degree import HypothesisError, equivalent_conditions
 from autodegree.groups import (
     enumerate_subgroups,
@@ -88,6 +89,31 @@ def test_corrupt_orbit_entry_moves_b_and_c_but_not_d():
     assert not report.orbit_sizes_match
     assert not report.orbit_cosets_match
     assert report.stabilizer_quotients_match
+
+
+def test_each_orbit_induced_group_is_built_once_per_aut_group(monkeypatch):
+    # Aut(S(4)) = Inn(S(4)), so the stabiliser of x is its centraliser, which
+    # is not normal for x != 1: each induced group is None, and None is kept.
+    g = symmetric(4)
+    A = compute_aut(g)
+    built = []
+    build = degree._induced_on_orbit
+
+    def counting(auts, x):
+        result = build(auts, x)
+        built.append((x, result is None))
+        return result
+
+    monkeypatch.setattr(degree, "_induced_on_orbit", counting)
+    for _ in range(2):
+        for h in enumerate_subgroups(g):
+            try:
+                equivalent_conditions(h, A)
+            except HypothesisError:
+                continue
+    points = [x for x, _ in built]
+    assert len(points) == len(set(points))
+    assert built and all(none for _, none in built)
 
 
 def test_isomorphism_test_alone_decides_d():

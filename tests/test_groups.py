@@ -222,7 +222,9 @@ class TestCatalog:
     @pytest.mark.parametrize(
         "name",
         ["C(2x3)", "C(2)××C(3)", "x", "", "xC(2)", "C(2))xC(3)", "(C(2))", "C(2)xD(", "c(2)",
-         "E( 2,1)", "C(2)X C(2)", "C(2)*C(2)", "C(2)×(C(2)×C(2))", "C(-1)", "S(0)", "D(0)"],
+         "E( 2,1)", "C(2)X C(2)", "C(2)*C(2)", "C(2)×(C(2)×C(2))", "C(-1)", "S(0)", "D(0)",
+         # Digits of other scripts, which int() reads: Arabic-Indic 3 and 4, fullwidth 2.
+         "C(\u0663)", "D(\u0664)", "E(\u0662,1)", "C(2)×C(\uff12)", "C(1_0)"],
     )
     def test_refused_spellings(self, name):
         for read in (catalog_order, catalog_build):
@@ -252,12 +254,25 @@ class TestCatalog:
         for text, message in [
             ("# c\n\nx3\n0 1 2\n", "line 3: expected the group order, got 'x3'"),
             ("0\n", "line 1: group order must be positive, got 0"),
+            ("-1\n", "line 1: group order must be positive, got -1"),
             ("# nothing here\n", "empty input: no group order found"),
+            # int() reads "1_1" as 11 and the Arabic-Indic "\u0663" as 3.
+            ("1_1\n", "line 1: expected the group order, got '1_1'"),
+            ("\u0663\n", "line 1: expected the group order, got '\u0663'"),
         ]:
             for read in (groups.table_order, parse_group_table):
                 with pytest.raises(TableParseError) as caught:
                     read(text)
                 assert str(caught.value) == message
+        for rows, message in [
+            ("0 1 2\n1 2 0\n2 0 1_0", "line 4: non-integer entry in row '2 0 1_0'"),
+            ("0 1 2\n1 2 0\n2 0 \u0661", "line 4: non-integer entry in row '2 0 \u0661'"),
+            ("0 1 2\n1 2 0\n2 0 x3", "line 4: non-integer entry in row '2 0 x3'"),
+            ("0 1 2\n1 2 0\n2 0 -1", "line 4: entry -1 out of range [0, 3)"),
+        ]:
+            with pytest.raises(TableParseError) as caught:
+                parse_group_table("3\n" + rows)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("group,m,r,s", [(modular16, 8, 5, 0), (dicyclic3, 6, 5, 3)])
     def test_metacyclic_presentation(self, group, m, r, s):
