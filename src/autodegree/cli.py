@@ -132,15 +132,12 @@ def cmd_verify(args) -> int:
 
 
 def parse_pair_spec(spec: str):
-    """GROUP or GROUP:whole or GROUP:gens=i,j,... into (group, subgroup)."""
+    """GROUP or GROUP:whole or GROUP:gens=i,j,... into (group, subgroup or None if whole)."""
     group_part, sep, sub_part = spec.rpartition(":")
-    if sep and (sub_part == "whole" or sub_part.startswith("gens=")):
-        g = load_group(group_part)
-        h = select_subgroups(g, sub_part)[0]
-    else:
-        g = load_group(spec)
-        h = whole_subgroup(g)
-    return g, h
+    if not (sep and (sub_part == "whole" or sub_part.startswith("gens="))):
+        return load_group(spec), None
+    g = load_group(group_part)
+    return g, None if sub_part == "whole" else select_subgroups(g, sub_part)[0]
 
 
 def cmd_isoclinic(args) -> int:

@@ -11,6 +11,9 @@ The paper's bounds come in three families, each written once:
   and [H, A], equivalence (a), and the converse closed form;
 - :func:`_lower` |L|/|H| + (p(|H| - |X| - |L|) + |X|)/(|H||A|): the main
   lower bound, and the plain bound at |X| = 0.
+
+Every public (H, A) check raises :class:`HypothesisError` when its hypothesis
+is unmet, most often the nontrivial action H != L, |A| > 1 that the bounds assume.
 """
 
 from __future__ import annotations
@@ -85,8 +88,10 @@ def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
 
 
 def pr_commuting(H: SubgroupSet) -> Fraction:
-    """Probability that a member of H commutes with an element of the parent."""
-    return Fraction(H.commuting_pairs, H.size * H.parent.order)
+    """Probability that a member of H commutes with an element of the parent:
+    |C_G(x)| summed over H, from ``GroupTable.centralizer_sizes``, which no Aut table reads."""
+    sizes = H.parent.centralizer_sizes
+    return Fraction(sum(sizes[x] for x in H.members), H.size * H.parent.order)
 
 
 class DegreeReport(_Frozen):
@@ -381,13 +386,9 @@ def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[
 
     k = 1 is the pq bound and k = 2 the pq^2 bound; only k = 2 can reach the
     5/8 special case, since k = 1 gives 3/4 at p = q = 2. Returns None when
-    the instance does not attain the bound (including the degenerate cases
-    where the bound does not apply).
+    the instance does not attain the bound.
     """
-    try:
-        _, p, q = _standing_assumptions(H, A)
-    except HypothesisError:
-        return None
+    _, p, q = _standing_assumptions(H, A)
     pr = pr_definition(H, A)
     if pr != _sharp(p, q, k):
         return None
@@ -408,8 +409,8 @@ def _classify_sharp(H: SubgroupSet, A: AutGroup, name: str, k: int) -> Optional[
 def classify_equality_pq(H: SubgroupSet, A: AutGroup) -> Optional[EqualityReport]:
     """When Pr = (p + q - 1)/(pq): check pq | |H||A| and H/L cyclic of order q.
 
-    Returns None when the instance does not attain the bound (including the
-    degenerate cases where the bound does not apply).
+    Returns None when the instance does not attain the bound; raises
+    :class:`HypothesisError` when H = L or |A| = 1.
     """
     return _classify_sharp(H, A, "equality_pq", 1)
 
@@ -418,7 +419,9 @@ def classify_equality_pq2(H: SubgroupSet, A: AutGroup) -> Optional[EqualityRepor
     """For non-abelian H with Pr = (q^2 + p - 1)/(p q^2): H/L = C(q) x C(q).
 
     Also flags the even-order special case: p = q = 2 with Pr = 5/8 forces
-    the Klein four quotient.
+    the Klein four quotient. Returns None for abelian H, before the standing
+    assumptions are checked, and when the bound is not attained; raises
+    :class:`HypothesisError` for non-abelian H when H = L or |A| = 1.
     """
     if H.is_abelian:
         return None
@@ -430,13 +433,10 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     degree takes the closed form (1/p)((p - 1)/|H : L| + 1), and the shape
     of H/L pins it to the sharp pq or pq^2 value.
 
-    Returns an empty list when the orbit-size hypothesis fails (an
-    inapplicable instance, not an error).
+    Raises :class:`HypothesisError` when H = L or |A| = 1, and returns an
+    empty list when only the orbit-size hypothesis fails.
     """
-    try:
-        core, p, q = _standing_assumptions(H, A)
-    except HypothesisError:
-        return []
+    core, p, q = _standing_assumptions(H, A)
     outside = [x for x in H.members if x not in core.member_set]
     if any(len(orbit(A, x)) != p for x in outside):
         return []

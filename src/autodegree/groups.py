@@ -396,15 +396,6 @@ class SubgroupSet(_Frozen):
         t = self.parent.table
         return all(t[a][b] == t[b][a] for a in self.members for b in self.members)
 
-    @cached_property
-    def commuting_pairs(self) -> int:
-        """How many pairs (x, y) in H x G commute: |C_G(x)| summed over H.
-
-        Read from ``GroupTable.centralizer_sizes``, which no Aut table reads.
-        """
-        sizes = self.parent.centralizer_sizes
-        return sum(sizes[x] for x in self.members)
-
 
 def _require_same_parent(G: GroupTable, H: SubgroupSet) -> None:
     if H.parent is not G and H.parent != G:

@@ -55,8 +55,6 @@ def make_pair(
     cap never pays for it. Every coset representative is still checked when
     it is built, and a disagreement raises :class:`InvariantError`.
     """
-    H = whole_subgroup(G) if H is None else H
-    _require_same_parent(G, H)
     A = auts if auts is not None else am.compute_aut(G)
     images = {a.image for a in A.members}
     missing = [a for a in am.compute_inn(G).members if a.image not in images]
@@ -65,6 +63,10 @@ def make_pair(
             f"the automorphisms must contain Inn(G), as the quotient by the autocentre "
             f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
         )
+    if H is None:
+        # The whole of A's own group, certified once per A; a foreign A is refused below.
+        H = A.derive(("subgroup", tuple(A.parent.elements())), lambda: whole_subgroup(A.parent))
+    _require_same_parent(G, H)
     return A.action_on(H)
 
 

@@ -86,11 +86,6 @@ class _Scan:
         self.report = report
         self.aut_cap = aut_cap
         self.quotient_cap = quotient_cap
-        self.applicable: dict[str, int] = {
-            "equality_pq": 0,
-            "equality_pq2": 0,
-            "converse": 0,
-        }
 
     def add(self, suite: str, group: str, sub: str, name: str, status: str,
             value=None, bound=None, detail: str = "") -> None:
@@ -190,35 +185,31 @@ class _Scan:
 
     def equalities(self, entry: CatalogEntry, A, subs, labels) -> None:
         for h, sub in zip(subs, labels):
+            # Read from deg at each call, so wrappers installed on the module are seen.
             try:
-                deg._standing_assumptions(h, A)
+                pq = deg.classify_equality_pq(h, A)
+                pq2 = deg.classify_equality_pq2(h, A)
+                converse = deg.converse_check(h, A)
             except HypothesisError:
                 self.add("equalities", entry.name, sub, "equality_checks",
                          "inapplicable", detail="degree is 1")
                 continue
-            # Read from deg at each call, so wrappers installed on the module are seen.
-            for name, classify, inapplicable in (
-                ("equality_pq", deg.classify_equality_pq, "degree differs from (p+q-1)/pq"),
-                ("equality_pq2", deg.classify_equality_pq2,
-                 "not a non-abelian instance of (q^2+p-1)/pq^2"),
+            for name, rep, inapplicable in (
+                ("equality_pq", pq, "degree differs from (p+q-1)/pq"),
+                ("equality_pq2", pq2, "not a non-abelian instance of (q^2+p-1)/pq^2"),
             ):
-                rep = classify(h, A)
                 if rep is None:
                     self.add("equalities", entry.name, sub, name, "inapplicable",
                              detail=inapplicable)
                 else:
-                    self.applicable[name] += 1
                     self.add("equalities", entry.name, sub, name,
                              "pass" if rep.passed() else "fail", rep.pr,
                              detail=describe_equality(rep))
-            converse = deg.converse_check(h, A)
             if not converse:
                 self.add("equalities", entry.name, sub, "converse", "inapplicable",
                          detail="orbit sizes outside the autocentre are not all p")
-            else:
-                self.applicable["converse"] += 1
-                for c in converse:
-                    self.add_check("equalities", entry.name, sub, c)
+            for c in converse:
+                self.add_check("equalities", entry.name, sub, c)
 
     def equivalence(self, entry: CatalogEntry, A, subs, labels) -> None:
         for h, sub in zip(subs, labels):
@@ -309,8 +300,11 @@ def run_scan(
         for entry, A, subs, labels in prepared:
             runner(entry, A, subs, labels)
     if suite in ("equalities", "all"):
-        for kind, count in sorted(scan.applicable.items()):
-            if count == 0:
+        found = {r.name for r in report.records
+                 if r.suite == "equalities" and r.status != "inapplicable"}
+        for kind, name in (("converse", "converse_degree"), ("equality_pq", "equality_pq"),
+                           ("equality_pq2", "equality_pq2")):
+            if name not in found:
                 report.vacuous.append(
                     f"{kind}: no applicable instance with |G| <= {max_order} "
                     f"(vacuously true)"

@@ -138,6 +138,16 @@ class TestVerify:
         assert code == 0
         assert "vacuous" in out
 
+    @pytest.mark.parametrize("max_order, kinds", [
+        (2, ["converse", "equality_pq", "equality_pq2"]),
+        (4, ["equality_pq2"]), (8, ["equality_pq2"]), (24, ["equality_pq2"]),
+    ])
+    def test_vacuous_kinds(self, max_order, kinds):
+        assert run_scan("equalities", max_order=max_order).vacuous == [
+            f"{kind}: no applicable instance with |G| <= {max_order} (vacuously true)"
+            for kind in kinds
+        ]
+
     def test_equivalence_reports_known_violations(self, capsys):
         # The five-way equivalence genuinely fails on catalog instances
         # whose autocommutator subgroup escapes H; the scan must say so.
@@ -251,6 +261,21 @@ class TestIsoclinic:
         assert code == 1
         assert "degrees: 3/4 != 1/2" in out
         assert "degrees: 3/4 = 1/2" not in out
+
+    @pytest.mark.parametrize("pair1", ["S(3)", "S(3):whole"])
+    def test_whole_group_certified_once(self, capsys, monkeypatch, pair1):
+        built = []
+        validate = groups.SubgroupSet.__post_init__
+
+        def counting(self):
+            built.append(self.members)
+            validate(self)
+
+        monkeypatch.setattr(groups.SubgroupSet, "__post_init__", counting)
+        code, _, _ = run(capsys, "isoclinic", pair1, "S(3)")
+        assert code == 0
+        # The whole group through the shared Aut memo, then L and [H, A].
+        assert built == [(0, 1, 2, 3, 4, 5), (0,), (0, 3, 4)]
 
     def test_fast_rejection_c3_c8(self, capsys):
         code, out, _ = run(capsys, "isoclinic", "C(3)", "C(8)")

@@ -537,6 +537,30 @@ class TestConverse:
         assert converse_check(h, a) == []
 
 
+@pytest.mark.parametrize("name", ["C(2)", "S(3)"])
+class TestHypothesisConvention:
+    """On a degenerate instance the checks that assume H != L and |A| > 1 raise HypothesisError.
+
+    Aut(C(2)) is trivial; the trivial subgroup of S(3) is its own autocentre.
+    """
+
+    @staticmethod
+    def degenerate(name):
+        g = catalog_build(name)
+        return (whole_subgroup(g) if name == "C(2)" else trivial_subgroup(g)), compute_aut(g)
+
+    @pytest.mark.parametrize("check", [
+        classify_equality_pq, converse_check, bound_upper_main, bound_lower_S,
+        equivalent_conditions,
+    ])
+    def test_raises(self, name, check):
+        with pytest.raises(HypothesisError):
+            check(*self.degenerate(name))
+
+    def test_pq2_returns_none_on_abelian_h_first(self, name):
+        assert classify_equality_pq2(*self.degenerate(name)) is None
+
+
 class TestEquivalence:
     def test_z4_all_true(self):
         g, h, a = instance("C(4)")

@@ -119,6 +119,14 @@ class TestPairing:
         for h in (subgroup_closure(s3, {3}), whole_subgroup(s3)):
             assert make_pair(s3, h, auts=A) is A.action_on(h)
 
+    def test_foreign_automorphisms_for_the_whole_group_are_refused(self):
+        # Inn(C(4)) is trivial, so the Inn(G) check passes Aut(C(2)xC(2)); the
+        # parent check refuses it, and A's memo keeps only its own whole group.
+        A = compute_aut(catalog_build("C(2)×C(2)"))
+        with pytest.raises(ParentMismatchError):
+            make_pair(catalog_build("C(4)"), auts=A)
+        assert all(h.parent is A.parent for h in A.derived.values())
+
     @pytest.mark.parametrize("name", ["C(8)", "C(2)×C(2)"])
     def test_foreign_automorphisms_are_refused(self, name):
         # An automorphism of C(8) reads the indices of C(4) as its own, giving
