@@ -71,7 +71,7 @@ def load_group(spec: str) -> GroupTable:
             raise
         exists = False  # too long for a file name, so it can only be a catalog name
     if exists:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
         refuse_over_cap("automorphism search", table_order(text))
         g = parse_group_table(text)
         return GroupTable(g.table, name=path.name)

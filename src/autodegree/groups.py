@@ -154,19 +154,18 @@ class GroupTable(_Frozen):
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily by maximal closure growth.
 
-        Ties break toward the smallest index, so the result is deterministic.
-        The trivial group yields the empty tuple.
+        Each step appends the first g, in ascending order, with the largest
+        <K, g>, K being the subgroup generated so far; the trivial group yields
+        the empty tuple. All of K g K give that same closure, so the first
+        maximum is the least element of its double coset: the maximum is
+        taken over :func:`_cyclic_extensions`, one closure per double coset.
         """
-        gens: list[int] = []
-        closed = {0}
-        while len(closed) < self.order:
-            best = max(
-                (g for g in self.elements() if g not in closed),
-                key=lambda g: len(_closure_members(self, gens + [g])),
-            )
-            gens.append(best)
-            closed = _closure_members(self, gens)
-        return tuple(gens)
+        gens: tuple[int, ...] = ()
+        members: tuple[int, ...] = (0,)
+        while len(members) < self.order:
+            g, members = max(_cyclic_extensions(self, members, gens), key=lambda c: len(c[1]))
+            gens += (g,)
+        return gens
 
     def label(self) -> str:
         return self.name if self.name is not None else f"group<{self.order}>"
@@ -481,25 +480,37 @@ def refuse_over_cap(search: str, order: int, cap: int = ORDER_CAP) -> None:
         raise SizeCapError(f"{search} is capped at group order {cap}; this group has order {order}")
 
 
+def _cyclic_extensions(
+    G: GroupTable, base: tuple[int, ...], gens: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(g, sorted members of <K, g>) for the least g of each double coset K g K other than K.
+
+    ``base`` lists the members of a subgroup K and ``gens`` generates it.
+    <K, a g b> = <K, g> for a, b in K, so one closure (:func:`_closure_members`)
+    per double coset covers every g outside K, and K costs |K \\ G / K| - 1
+    closures (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, sec. 3.3). Elements are taken in ascending order; after
+    each closure, K g K, the union of the right cosets K g b reached from
+    K g under ``gens``, is marked covered.
+    """
+    covered = set(base)
+    for g in G.elements():
+        if g not in covered:
+            yield g, tuple(sorted(_closure_members(G, gens + (g,), base)))
+            covered |= _right_cosets(G, base, (g,), gens)
+
+
 def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet]:
     """All subgroups of G, each exactly once, sorted by (order, members).
 
     Works by cyclic extension: start from the trivial subgroup and
     repeatedly extend each known subgroup K by a single new generator g;
     only a member tuple not seen before becomes a (validated) SubgroupSet.
-    Each subgroup keeps the generators that produced it, and <K, g> is
-    built coset by coset from K and those generators plus g
-    (:func:`_closure_members`), in O(|<K, g> : K| log |G|) steps.
-
-    One closure per double coset: <K, a g b> = <K, g> for a, b in K, so
-    after closing <K, g> the whole double coset K g K is marked covered
-    and its other elements are skipped (Holt, Eick and O'Brien, Handbook
-    of Computational Group Theory, 2005, sec. 3.3). K g K is the union of
-    the right cosets K g b, reached from K g under K's generators. Elements
-    are tried in ascending order, so a skipped pair (K, g') always has an
-    earlier pair (K, g) with the same result: every subgroup keeps the seed
-    it had before, and K costs |K \\ G / K| - 1 closures instead of
-    |G| - |K|. Exhaustive, hence the order cap.
+    Each subgroup keeps the generators that produced it. K is extended only
+    by the least g of each double coset K g K (:func:`_cyclic_extensions`):
+    a skipped a g b has an earlier g with the same <K, g>, so every subgroup
+    keeps the seed that trying each g in ascending order would give it.
+    Exhaustive, hence the order cap.
     """
     refuse_over_cap("subgroup enumeration", G.order, cap)
     trivial = trivial_subgroup(G)
@@ -508,17 +519,10 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
     while frontier:
         nxt = []
         for h, gens in frontier:
-            base = h.members
-            covered = set(base)
-            for g in G.elements():
-                if g in covered:
-                    continue
-                seed = gens + (g,)
-                members = tuple(sorted(_closure_members(G, seed, base)))
+            for g, members in _cyclic_extensions(G, h.members, gens):
                 if members not in found:
                     found[members] = SubgroupSet(G, members)
-                    nxt.append((found[members], seed))
-                covered |= _right_cosets(G, base, (g,), gens)
+                    nxt.append((found[members], gens + (g,)))
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))
 
@@ -602,10 +606,6 @@ def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
 
     N must be a normal subgroup of H.
     """
-    _require_same_parent(G, H)
-    _require_same_parent(G, N)
-    if not N.member_set <= H.member_set:
-        raise PreconditionError("N must be contained in H")
     if not is_normal(G, N, H):
         raise PreconditionError("N is not normal in H")
     t = G.table

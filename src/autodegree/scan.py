@@ -17,7 +17,8 @@ from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
 from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, _Frozen, enumerate_subgroups
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, cap_refusal, decide_autoisoclinism, make_pair
-from .reporting import describe_check, describe_equality, describe_equivalence, kv_line
+from .reporting import (describe_check, describe_equality, describe_equivalence, format_members,
+                        kv_line)
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
     [f"C({n})" for n in range(1, 17)]
@@ -76,9 +77,7 @@ class ScanReport:
 
 
 def _subgroup_label(H: SubgroupSet) -> str:
-    if H.is_whole():
-        return "whole"
-    return ",".join(str(m) for m in H.members)
+    return "whole" if H.is_whole() else format_members(H.members)
 
 
 class _Scan:

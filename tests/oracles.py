@@ -1,15 +1,16 @@
 """Brute-force reference computations used to pin expected test values.
 
 They cover automorphisms (by filtering permutations, and by searching
-generator images past order 8), degrees, subgroups and double cosets, orbits,
-autocommutators, the autocentre, the centre (:func:`brute_center`) and
-condition (d) of the equivalence. Everything here favors the most direct
-computation over speed, and shares no code with the package under test
-beyond reading plain Cayley tables.
-The two exceptions keep an older route of the package itself as the
-reference for a newer one: :func:`brute_condition_d`, and
+generator images past order 8), homomorphism counts, degrees, subgroups
+and double cosets, orbits, autocommutators, the autocentre, the centre
+(:func:`brute_center`) and condition (d) of the equivalence. Everything
+here favors the most direct computation over speed, and shares no code
+with the package under test beyond reading plain Cayley tables.
+The three exceptions keep an older route of the package itself as the
+reference for a newer one: :func:`brute_condition_d`;
 :func:`dfs_isomorphisms`, which reads the package's ``GroupTable.generators``
-and calls its ``close_partial_map``.
+and calls its ``close_partial_map``; and :func:`greedy_generators`, which
+calls its ``_closure_members``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,29 @@ def generator_automorphisms(table) -> list[tuple[int, ...]]:
     filtering all n! permutations does not.
     """
     n = len(table)
+    gens, extend = generator_words(table, table)
+    orders = [brute_element_order(table, x) for x in range(n)]
+    choices = [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
+    out = []
+    for images in itertools.product(*choices):
+        perm = extend(images)
+        if len(set(perm)) == n and is_homomorphism(table, perm):
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def generator_words(table, target_table):
+    """(gens, extend): greedy generators in index order, and the map their images fix.
+
+    Each generator lies outside the span of those before it. A breadth-first
+    tree of right multiplications by them reaches every element, so
+    ``extend(images)`` sends each element, a word in ``gens``, to the same
+    word in ``images`` under ``target_table``. The result is a homomorphism
+    only if some homomorphism sends ``gens`` to ``images``.
+    """
     gens: list[int] = []
     span = {0}
-    for x in range(n):
+    for x in range(len(table)):
         if x not in span:
             gens.append(x)
             span = brute_generated(0, span | {x}, lambda a, b: table[a][b])
@@ -79,17 +100,53 @@ def generator_automorphisms(table) -> list[tuple[int, ...]]:
             if table[y][g] not in tree:
                 tree[table[y][g]] = (y, i)
                 reached.append(table[y][g])
-    orders = [brute_element_order(table, x) for x in range(n)]
-    choices = [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
-    out = []
-    for images in itertools.product(*choices):
-        perm = [0] * n
+
+    def extend(images) -> list[int]:
+        out = [0] * len(table)
         for z in reached[1:]:
             y, i = tree[z]
-            perm[z] = table[perm[y]][images[i]]
-        if len(set(perm)) == n and is_homomorphism(table, perm):
-            out.append(tuple(perm))
-    return sorted(out)
+            out[z] = target_table[out[y]][images[i]]
+        return out
+
+    return gens, extend
+
+
+def brute_hom_count(t1, t2, target) -> int:
+    """How many homomorphisms G1 -> G2 take values in the subgroup ``target`` of G2.
+
+    Every assignment of members of ``target`` to the generators of
+    :func:`generator_words` fixes at most one map; it is counted when it
+    is a homomorphism, checked pair by pair.
+    """
+    n = len(t1)
+    gens, extend = generator_words(t1, t2)
+    count = 0
+    for images in itertools.product(target, repeat=len(gens)):
+        f = extend(images)
+        if all(f[t1[a][b]] == t2[f[a]][f[b]] for a in range(n) for b in range(n)):
+            count += 1
+    return count
+
+
+def greedy_generators(G) -> tuple[int, ...]:
+    """``G.generators`` by the package's older rule: one closure per element outside the span.
+
+    Each step appends the first g, in ascending order, whose closure with
+    the generators so far is largest, closing <gens, g> for every g outside
+    the span with the package's ``_closure_members``.
+    """
+    from autodegree.groups import _closure_members
+
+    gens: list[int] = []
+    closed = {0}
+    while len(closed) < G.order:
+        best = max(
+            (g for g in G.elements() if g not in closed),
+            key=lambda g: len(_closure_members(G, gens + [g])),
+        )
+        gens.append(best)
+        closed = _closure_members(G, gens)
+    return tuple(gens)
 
 
 def brute_fixed_pairs(table, h_members, auts) -> int:

@@ -97,6 +97,19 @@ class TestCompute:
         kv = parse_kv(out)
         assert Fraction(kv["report.0.pr_definition"]) == Fraction(2, 3)
 
+    @pytest.mark.parametrize("fmt", ["human", "kv"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, fmt):
+        # Same file name in two directories, so the label is the same too.
+        outs = []
+        for folder, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / folder / "c2.grp"
+            path.parent.mkdir()
+            path.write_bytes(bom + b"2\n0 1\n1 0\n")
+            code, out, err = run(capsys, "compute", "--group", str(path), "--format", fmt)
+            assert (code, err) == (0, "")
+            outs.append(out.encode("utf-8"))
+        assert outs[0] == outs[1]
+
     def test_bad_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"
         path.write_text("3\n0 1 2\n1 2 9\n2 0 1\n")

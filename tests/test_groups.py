@@ -54,6 +54,7 @@ from autodegree.groups import (
 )
 from autodegree.scan import DEFAULT_CATALOG_NAMES
 from test_action_table import relabeled
+from test_aut_classes import SCAN_GROUPS
 
 Z3_TEXT = """\
 # cyclic group of order 3
@@ -595,6 +596,17 @@ class TestQuotients:
         with pytest.raises(PreconditionError):
             quotient_group(s3, whole_subgroup(s3), h)
 
+    def test_n_outside_h_rejected(self):
+        s3 = symmetric(3)
+        a3 = subgroup_closure(s3, {3})
+        with pytest.raises(PreconditionError, match="contained in the ambient subgroup"):
+            quotient_group(s3, a3, whole_subgroup(s3))
+
+    def test_foreign_n_rejected(self):
+        z4 = cyclic(4)
+        with pytest.raises(ParentMismatchError):
+            quotient_group(z4, whole_subgroup(z4), trivial_subgroup(cyclic(2)))
+
     def test_subgroup_as_group_of_whole_is_the_group(self):
         s3 = symmetric(3)
         table, embedding = subgroup_as_group(s3, whole_subgroup(s3))
@@ -679,6 +691,43 @@ class TestIsomorphisms:
         assert cyclic(1).generators == ()
         gens = symmetric(4).generators
         assert subgroup_closure(symmetric(4), gens).size == 24
+
+
+def generator_tables() -> list[GroupTable]:
+    """Catalog and scan groups, abstract Aut tables, and the H/L and [H, A] tables of two scans."""
+    tables = [catalog_build(name) for name in DEFAULT_CATALOG_NAMES + SCAN_GROUPS]
+    for name in ("S(4)", "D(8)", "Q8×C(4)", "C(2)×C(2)×C(2)×C(3)"):
+        tables.append(compute_aut(catalog_build(name), cap=48).abstract_group)
+    for name in ("D(4)×S(3)", "Q8×C(4)"):
+        g = catalog_build(name)
+        a = compute_aut(g, cap=48)
+        for h in enumerate_subgroups(g, cap=48):
+            action = a.action_on(h)
+            tables += [action.quotient.group, action.commutator_group]
+    return tables
+
+
+class TestGeneratingSet:
+    """GroupTable.generators picks what one closure per element outside the span picked."""
+
+    def test_matches_the_per_element_rule(self):
+        tables = generator_tables()
+        # A fresh GroupTable each time, so no cached generators answer.
+        got = [GroupTable(t.table).generators for t in tables]
+        assert got == [oracles.greedy_generators(GroupTable(t.table)) for t in tables]
+
+    def test_closes_once_per_double_coset(self, monkeypatch):
+        aut = GroupTable(compute_aut(catalog_build("Q8×C(4)"), cap=48).abstract_group.table)
+        calls = [0]
+        close = groups._closure_members
+
+        def counting(*args):
+            calls[0] += 1
+            return close(*args)
+
+        monkeypatch.setattr(groups, "_closure_members", counting)
+        aut.generators
+        assert calls[0] < 478  # one closure per element outside the span makes 956
 
 
 def count_closures(monkeypatch) -> list[int]:
