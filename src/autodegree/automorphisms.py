@@ -45,8 +45,7 @@ class Automorphism(_Frozen):
         return all(y == x for x, y in enumerate(self.image))
 
     def validate(self) -> None:
-        if sorted(self.image) != list(self.parent.elements()):
-            raise InvariantError("automorphism image is not a permutation")
+        """Raise InvariantError unless this is an automorphism (:meth:`GroupHom.validate`)."""
         GroupHom(self.parent, self.parent, self.image).validate()
 
     def cycle_notation(self) -> str:
@@ -183,6 +182,8 @@ class AutGroup(_Frozen):
         if not self.members[0].is_identity():
             raise InvariantError("members[0] is not the identity automorphism")
         for a in self.members:
+            if a.parent != self.parent:
+                raise ParentMismatchError("automorphism belongs to a different group")
             a.validate()
         if _composition_witness(self.parent, self.members) is not None:
             raise InvariantError("automorphism set not closed under composition")

@@ -546,31 +546,31 @@ def is_normal(G: GroupTable, N: SubgroupSet, in_: SubgroupSet) -> bool:
 
 
 class GroupHom(_Frozen):
-    """A homomorphism between two groups, as an image array over the source."""
+    """An isomorphism between two groups as an image array over the source; see :meth:`validate`."""
 
     def __init__(self, source: GroupTable, target: GroupTable, image: tuple[int, ...]):
         vars(self).update(source=source, target=target, image=image)
 
-    def is_bijective(self) -> bool:
-        return (
-            len(self.image) == self.target.order
-            and len(set(self.image)) == len(self.image)
-        )
-
     def validate(self) -> None:
-        """Raise InvariantError unless this is a homomorphism sending 0 to 0."""
-        if len(self.image) != self.source.order:
-            raise InvariantError("image array length does not match the source order")
-        for y in self.image:
-            self.target.check_element(y)
-        if self.image[0] != 0:
+        """Raise InvariantError unless this is an isomorphism onto the target.
+
+        A bijection f with f(0) = 0 and f(x g) = f(x) f(g) for every x and
+        each g of ``source.generators`` is an isomorphism: every y is a word
+        in those generators, so f(x y) = f(x) f(y) by induction on its length.
+        That is |source| |generators| products, not |source|^2.
+        """
+        img, n = self.image, self.target.order
+        if (len(img) != self.source.order or len(img) != n or set(img) != set(range(n))
+                or not all(isinstance(y, int) for y in img)):
+            raise InvariantError("not a bijection onto the target")
+        if img[0] != 0:
             raise InvariantError("homomorphism must map the identity to the identity")
-        s, t = self.source.table, self.target.table
-        img = self.image
-        for a in self.source.elements():
-            for b in self.source.elements():
-                if img[s[a][b]] != t[img[a]][img[b]]:
-                    raise InvariantError(f"not a homomorphism at ({a}, {b})")
+        t = self.target.table
+        for g in self.source.generators:
+            fg = img[g]
+            for x, xg in enumerate(self.source.columns[g]):
+                if img[xg] != t[img[x]][fg]:
+                    raise InvariantError(f"not a homomorphism at ({x}, {g})")
 
 
 def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:

@@ -12,7 +12,6 @@ omitted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .degree import BoundCheck, DegreeReport, EqualityReport, EquivalenceReport
 
@@ -74,16 +73,13 @@ def render_degree_kv(report: DegreeReport, prefix: str = "report") -> list[str]:
     return lines
 
 
-def render_degree_human(report: DegreeReport, cycles: Optional[list[str]] = None) -> list[str]:
+def render_degree_human(report: DegreeReport, cycles: list[str]) -> list[str]:
     """The report as text; ``cycles`` lists the automorphisms in cycle notation."""
     lines = [
         f"group: {report.group}",
         f"subgroup: [{format_members(report.subgroup)}] (order {report.size_h})",
         f"automorphism group order: {report.size_aut}",
-    ]
-    if cycles is not None:
-        lines.append("automorphisms: " + ", ".join(cycles))
-    lines += [
+        "automorphisms: " + ", ".join(cycles),
         f"Pr by definition:         {report.pr_definition} (~{approx(report.pr_definition)})",
         f"Pr by stabilizer sum:     {report.pr_stab_sum}",
         f"Pr by fixed-subgroup sum: {report.pr_fixed_sum}",

@@ -49,15 +49,12 @@ class CheckRecord:
 
 
 class ScanReport:
-    def __init__(self, suite: str, max_order: int, records: Optional[list[CheckRecord]] = None,
-                 findings: Optional[list[str]] = None, warnings: Optional[list[str]] = None,
-                 vacuous: Optional[list[str]] = None):
-        """Each list left out starts empty and belongs to this report alone."""
+    def __init__(self, suite: str, max_order: int):
         self.suite, self.max_order = suite, max_order
-        self.records = [] if records is None else records
-        self.findings = [] if findings is None else findings
-        self.warnings = [] if warnings is None else warnings
-        self.vacuous = [] if vacuous is None else vacuous
+        self.records: list[CheckRecord] = []
+        self.findings: list[str] = []
+        self.warnings: list[str] = []
+        self.vacuous: list[str] = []
 
     def count(self, status: str) -> int:
         return sum(1 for r in self.records if r.status == status)

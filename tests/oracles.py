@@ -1,7 +1,8 @@
 """Brute-force reference computations used to pin expected test values.
 
 They cover automorphisms (by filtering permutations, and by searching
-generator images past order 8), homomorphism counts, degrees, subgroups
+generator images past order 8), isomorphisms checked at every pair
+(:func:`brute_is_isomorphism`), homomorphism counts, degrees, subgroups
 and double cosets, orbits, autocommutators, the autocentre, the centre
 (:func:`brute_center`) and condition (d) of the equivalence. Everything
 here favors the most direct computation over speed, and shares no code
@@ -31,6 +32,14 @@ def is_homomorphism(table, perm) -> bool:
             if perm[table[a][b]] != table[perm[a]][perm[b]]:
                 return False
     return True
+
+
+def brute_is_isomorphism(t1, t2, image) -> bool:
+    """Whether ``image`` is a bijection onto range(len(t2)) that respects every product of t1 × t1."""
+    n = len(t1)
+    if len(image) != n or sorted(image) != list(range(len(t2))):
+        return False
+    return all(image[t1[a][b]] == t2[image[a]][image[b]] for a in range(n) for b in range(n))
 
 
 def brute_automorphisms(table) -> list[tuple[int, ...]]:

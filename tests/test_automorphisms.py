@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from autodegree import automorphisms
+from autodegree import automorphisms, catalog
 from autodegree.catalog import catalog_build, cyclic, quaternion8, symmetric
 from autodegree.automorphisms import (
     AutGroup,
@@ -24,15 +24,19 @@ from autodegree.automorphisms import (
     trivial_stabilizer_set,
 )
 from autodegree.groups import (
+    GroupTable,
     InvariantError,
     ParentMismatchError,
     SizeCapError,
     SubgroupSet,
+    compose_perms,
     enumerate_subgroups,
     iter_isomorphisms,
+    permutation_table,
     subgroup_as_group,
     subgroup_closure,
     trivial_subgroup,
+    validate_group_table,
     whole_subgroup,
 )
 from autodegree.scan import CatalogEntry, run_scan
@@ -128,6 +132,12 @@ class TestComputeAut:
         with pytest.raises(InvariantError, match="strictly increasing"):
             AutGroup(g, (identity, inversion, inversion)).validate()
 
+    def test_validate_refuses_another_groups_automorphisms(self):
+        # Only 2 of the 6 automorphisms of C(2)×C(2) are automorphisms of C(4);
+        # read as Aut(C(4)), the set gives Pr(C(4)) = 1/2 by definition.
+        with pytest.raises(ParentMismatchError):
+            AutGroup(cyclic(4), compute_aut(catalog_build("C(2)×C(2)")).members).validate()
+
     def test_enumeration_listing_a_map_twice_is_caught(self, monkeypatch):
         # The closure recheck reads the members as a set, so it cannot see a repeat.
         def search(G1, G2):
@@ -149,6 +159,51 @@ class TestComputeAut:
         for i, x in enumerate(a.members):
             for j, y in enumerate(a.members):
                 assert a.members[t.table[i][j]].image == tuple(x.image[k] for k in y.image)
+
+
+def affine_group(p: int) -> GroupTable:
+    """The permutations of Z/p generated by x -> x + 1 and x -> 2x, tabled in sorted order."""
+    gens = [tuple((x + 1) % p for x in range(p)), tuple(2 * x % p for x in range(p))]
+    return permutation_table(sorted(oracles.brute_generated(tuple(range(p)), gens, compose_perms)))
+
+
+def heisenberg3() -> GroupTable:
+    """(a,b,c)(d,e,f) = (a+d, b+e, c+f+ae) mod 3, with (a,b,c) at index 9a + 3b + c."""
+    def law(x: int, y: int) -> int:
+        (a, b, c), (d, e, f) = (x // 9, x // 3 % 3, x % 3), (y // 9, y // 3 % 3, y % 3)
+        return 9 * ((a + d) % 3) + 3 * ((b + e) % 3) + (c + f + a * e) % 3
+
+    return catalog._from_law(27, law, "Heis(3)")
+
+
+EXTENDED_GROUPS = {
+    "Q16": lambda: catalog._metacyclic(8, 7, 4, "Q16"),
+    "SD16": lambda: catalog._metacyclic(8, 3, 0, "SD16"),
+    "Q32": lambda: catalog._metacyclic(16, 15, 8, "Q32"),
+    "SD32": lambda: catalog._metacyclic(16, 7, 0, "SD32"),
+    "M32": lambda: catalog._metacyclic(16, 9, 0, "M32"),
+    "F20": lambda: affine_group(5),
+    "C7⋊C3": lambda: affine_group(7),
+    "Heis(3)": heisenberg3,
+}
+
+
+class TestExtendedGroups:
+    """|Aut| and subgroup counts of groups the catalog cannot name yet, past order 8."""
+
+    @pytest.mark.parametrize("name, aut_order, subgroups", [
+        ("Q16", 32, 11), ("SD16", 16, 15), ("Q32", 128, 20), ("SD32", 64, 28),
+        ("M32", 32, 14), ("F20", 20, 14), ("C7⋊C3", 42, 10), ("Heis(3)", 432, 19),
+    ])
+    def test_aut_and_lattice_match_the_oracles(self, name, aut_order, subgroups):
+        g = EXTENDED_GROUPS[name]()
+        validate_group_table(g)
+        a = compute_aut(g, cap=32)
+        assert a.size == aut_order
+        assert [m.image for m in a.members] == oracles.generator_automorphisms(g.table)
+        lattice = [h.members for h in enumerate_subgroups(g, cap=32)]
+        assert len(lattice) == subgroups
+        assert sorted(lattice) == sorted(oracles.brute_subgroup_lattice(g.table))
 
 
 class TestComputeInn:
