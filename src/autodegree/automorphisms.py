@@ -28,7 +28,6 @@ from .groups import (
     closure_witness,
     compose_perms,
     iter_isomorphisms,
-    permutation_table,
     quotient_group,
     refuse_over_cap,
     subgroup_as_group,
@@ -192,11 +191,20 @@ class AutGroup(_Frozen):
     def abstract_group(self) -> GroupTable:
         """This set as an abstract group under composition.
 
-        Index i of the abstract group is members[i] (:func:`permutation_table`);
-        the identity lands at index 0 by the ordering argument above. Only the
-        autoisoclinism witness search reads this |A|^2-entry table.
+        Index i of the abstract group is members[i]; the identity lands at
+        index 0 by the ordering argument above. An automorphism is fixed by
+        its images of ``parent.generators`` (as in :meth:`GroupHom.validate`),
+        so each member is keyed by them, and a∘b by a's images of b's key:
+        |generators| lookups per entry, not n. Only the autoisoclinism
+        witness search reads this |A|^2-entry table.
         """
-        table = permutation_table([a.image for a in self.members])
+        gens = self.parent.generators
+        keys = [compose_perms(a.image, gens) for a in self.members]
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
+            raise InvariantError("two automorphisms agree on the generators")
+        table = GroupTable(tuple(tuple(index[compose_perms(a.image, kb)] for kb in keys)
+                                 for a in self.members))
         if any(table.table[0][j] != j for j in range(len(self.members))):
             raise InvariantError("identity automorphism did not land at index 0")
         return table
@@ -212,14 +220,15 @@ def _composition_witness(
 def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     """The full automorphism group, from :func:`iter_isomorphisms` of G with itself.
 
-    The search pins generator images of equal order and closes each prefix
-    by map extension, which validates it; it reaches the first automorphism
-    leaf by leaf and composes the others from the pointwise stabilisers it
-    finds on the way, so the enumeration is exactly the automorphisms
-    without a search per automorphism. As insurance against search bugs,
-    closure under composition is then certified from a generating set
-    (:func:`closure_witness`), in O(|A| log |A| n) steps, and the listing
-    is checked free of repeats, which the set-based recheck cannot see.
+    The search pins generator images of equal order and centraliser size
+    and closes each prefix by map extension, which validates it; it
+    reaches the first automorphism leaf by leaf and composes the others
+    from the pointwise stabilisers it finds on the way, so the enumeration
+    is exactly the automorphisms without a search per automorphism. As
+    insurance against search bugs, closure under composition is then
+    certified from a generating set (:func:`closure_witness`), in
+    O(|A| log |A| n) steps, and the listing is checked free of repeats,
+    which the set-based recheck cannot see.
     """
     refuse_over_cap("automorphism search", G.order, cap)
     perms = sorted(h.image for h in iter_isomorphisms(G, G))

@@ -409,19 +409,6 @@ def whole_subgroup(G: GroupTable) -> SubgroupSet:
     return SubgroupSet(G, tuple(G.elements()))
 
 
-def _orbit_points(perms: Sequence[tuple[int, ...]], seed: Iterable[int]) -> set[int]:
-    """The points reached from ``seed`` under the permutations ``perms``."""
-    seen = set(seed)
-    queue = list(seen)
-    for p in queue:
-        for h in perms:
-            q = h[p]
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
-
-
 def _right_cosets(
     G: GroupTable, base: tuple[int, ...], reps: Iterable[int], gens: Sequence[int]
 ) -> set[int]:
@@ -701,10 +688,13 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     """Yield every isomorphism G1 -> G2 in a fixed deterministic order.
 
     The order is lexicographic in the images of a generating set ``gens``
-    of G1; candidate images are the elements of equal order in ascending
-    order. A prefix P, the images of ``gens[:i]``, is pinned and closed
-    with :func:`close_partial_map`, which also checks every product
-    relation against the generators assigned so far.
+    of G1; candidate images are the elements of equal order and equal
+    centraliser size, in ascending order. An isomorphism preserves both,
+    so this key drops only candidates that no isomorphism can use, and two
+    groups whose sorted keys differ are not isomorphic. A prefix P, the
+    images of ``gens[:i]``, is pinned and closed with
+    :func:`close_partial_map`, which also checks every product relation
+    against the generators assigned so far.
 
     The isomorphisms that extend P are exactly phi_P * S_i (phi_P after an
     element of S_i), where phi_P is any one of them and S_i is the
@@ -722,8 +712,7 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
       transversal element;
     - otherwise a search to the first leaf phi_P either finds a new element
       phi_0^-1 * phi_P of S_i, which grows the orbit, and yields
-      phi_P * S_(i+1); or it fails, and then every point of the known orbit
-      of x fails with it, since an automorphism reaching one would reach x.
+      phi_P * S_(i+1); or it fails, and no isomorphism extends P with y.
 
     When the level finishes, its orbit is all of the S_i-orbit of
     ``gens[i]``, so S_i is the transversal times S_(i+1) and every later
@@ -733,16 +722,18 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     in; the order is unchanged and nothing is listed ahead of its turn.
     The search to phi_0 is the leaf-by-leaf search itself, so
     :func:`find_isomorphism` makes the closure calls of a plain depth-first
-    search, and every yielded map is a composition of maps that the
-    closure found.
+    search over the same keyed candidates, and every yielded map is a
+    composition of maps that the closure found.
     """
-    if G1.order != G2.order or G1.order_profile != G2.order_profile:
+    key1 = list(zip(map(G1.element_order, G1.elements()), G1.centralizer_sizes))
+    key2 = key1 if G2 is G1 else list(
+        zip(map(G2.element_order, G2.elements()), G2.centralizer_sizes))
+    if sorted(key1) != sorted(key2):
         return
     gens = G1.generators
     k = len(gens)
-    # Level i's candidate images of gens[i]: the elements of its order, ascending.
-    levels = [[y for y in G2.elements() if G2.element_order(y) == order]
-              for order in map(G1.element_order, gens)]
+    # Level i's candidate images of gens[i]: the elements of its key, ascending.
+    levels = [[y for y in G2.elements() if key2[y] == key1[g]] for g in gens]
     n = G1.order
     # Level i's orbit of gens[i]: point -> transversal element of S_i.
     orbits = [{g: tuple(range(n))} for g in gens]
@@ -757,8 +748,8 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
         """The first leaf under the prefix ``mapped``, or None; a found leaf's levels go on ``path``.
 
         ``gens[i]`` tries ``candidates``, by default every element of its
-        order; each image is added to the prefix and closed, and a conflict
-        moves on to the next.
+        order and centraliser size; each image is added to the prefix and
+        closed, and a conflict moves on to the next.
         """
         if i == k:
             if len(mapped) != n:
@@ -797,7 +788,6 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
         inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
         for i, mapped, used, candidates in path:
             orbit = orbits[i]
-            failed: set[int] = set()
             for y in candidates:
                 if y in used:
                     continue
@@ -805,22 +795,22 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
                 if x in orbit:
                     yield from coset(compose_perms(phi0, orbit[x]), i + 1)
                     continue
-                if x in failed:
-                    continue
                 phi = first_leaf(i, mapped, used, [], [y])
                 if phi is None:
-                    failed |= _orbit_points(strong, [x])
                     continue
                 strong.append(compose_perms(inv0, phi))
                 _grow_orbit(orbit, strong)
-                failed = _orbit_points(strong, failed)
                 yield from coset(phi, i + 1)
     finally:
         del first_leaf, coset
 
 
 def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:
-    """First isomorphism G1 -> G2 in the deterministic search order, or None."""
+    """First isomorphism G1 -> G2 in the deterministic search order, or None.
+
+    Its closure calls are those of a depth-first search over the candidates
+    of equal order and centraliser size.
+    """
     return next(iter_isomorphisms(G1, G2), None)
 
 

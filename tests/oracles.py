@@ -337,21 +337,32 @@ def brute_condition_d(h_members, aut_group) -> bool:
     return True
 
 
-def dfs_isomorphisms(g1, g2):
+def dfs_isomorphisms(g1, g2, by_centraliser=False):
     """Every isomorphism g1 -> g2, leaf by leaf, as image arrays.
 
     This is how the package listed isomorphisms before it composed
     stabiliser cosets: a depth-first search over images of the package's
     generating set, candidates of equal order in ascending order, each
-    prefix closed by the package's ``close_partial_map``. It yields lazily,
-    so the closure calls to its first leaf can be counted.
+    prefix closed by the package's ``close_partial_map``. With
+    ``by_centraliser`` a candidate must also have the generator's
+    centraliser size, counted here pair by pair, and the groups' sorted
+    (order, centraliser size) keys must agree. It yields lazily, so the
+    closure calls to its first leaf can be counted.
     """
     from autodegree import groups
 
-    if g1.order != g2.order or g1.order_profile != g2.order_profile:
+    def keys(g):
+        t = g.table
+        return [
+            (g.element_order(a),)
+            + ((sum(t[a][b] == t[b][a] for b in g.elements()),) if by_centraliser else ())
+            for a in g.elements()
+        ]
+
+    key1, key2 = keys(g1), keys(g2)
+    if sorted(key1) != sorted(key2):
         return
     gens = g1.generators
-    orders = [g1.element_order(g) for g in gens]
     n = g1.order
 
     def backtrack(i, mapped, used):
@@ -360,7 +371,7 @@ def dfs_isomorphisms(g1, g2):
             yield tuple(mapped[a] for a in range(n))
             return
         for y in g2.elements():
-            if g2.element_order(y) != orders[i] or y in used:
+            if key2[y] != key1[gens[i]] or y in used:
                 continue
             ext, ext_used = {**mapped, gens[i]: y}, used | {y}
             if groups.close_partial_map(g1, g2, ext, ext_used, gens[: i + 1]):

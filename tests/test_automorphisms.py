@@ -152,10 +152,14 @@ class TestComputeAut:
     def test_c2_c2_d4_past_the_default_cap(self):
         assert compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32).size == 3072
 
-    def test_abstract_group_composition_consistent(self):
-        _, a = aut_of("C(5)")
+    @pytest.mark.parametrize("name, size", [
+        ("C(1)", 1), ("C(2)", 1), ("C(5)", 4), ("S(4)", 24), ("D(8)", 32), ("Q8", 24),
+        ("C(2)×Q8", 192),
+    ])
+    def test_abstract_group_composition_consistent(self, name, size):
+        _, a = aut_of(name)
         t = a.abstract_group
-        assert t.order == 4
+        assert t.order == size
         for i, x in enumerate(a.members):
             for j, y in enumerate(a.members):
                 assert a.members[t.table[i][j]].image == tuple(x.image[k] for k in y.image)

@@ -1,7 +1,8 @@
 """The CLI against golden digests, and a wall-clock bound in a fresh interpreter.
 
 ``golden/digests.json`` holds the sha256 of the stdout and the exit code of
-each command. Its ``commands`` run in a fresh interpreter and its
+each command. Its ``commands`` run in a fresh interpreter, once with hash
+randomisation off (``PYTHONHASHSEED=0``) and once with seed 1, and its
 ``in_process`` cases through ``cli.main`` with stdout captured, which keeps
 the many small cases cheap. The ``in_process`` cases cover both the kv and
 the human output format. Its ``scans`` pin the kv rendering of a
@@ -36,17 +37,17 @@ def case_id(case):
     return " ".join(argv[:3]) + ("" if "--format" in argv else " human")
 
 
-def child_env() -> dict[str, str]:
-    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+def child_env(**extra: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
 
 
-def run_cli(argv, timeout):
+def run_cli(argv, timeout, **extra_env):
     """``python -m autodegree *argv`` in a fresh interpreter: (exit code, stdout bytes)."""
     done = subprocess.run(
         [sys.executable, "-m", "autodegree", *argv],
-        capture_output=True, env=child_env(), timeout=timeout, check=False,
+        capture_output=True, env=child_env(**extra_env), timeout=timeout, check=False,
     )
     return done.returncode, done.stdout
 
@@ -55,9 +56,14 @@ def golden_case(argv) -> dict:
     return next(c for c in GOLDEN["commands"] + GOLDEN["in_process"] if c["argv"] == argv)
 
 
-@pytest.mark.parametrize("case", GOLDEN["commands"], ids=case_id)
-def test_cli_output_matches_golden_digest(case):
-    code, out = run_cli(case["argv"], timeout=120)
+# The same bytes under two hash seeds: no output may follow the iteration order of a
+# set or dict of strings. The seed-0 run keeps the plain case id.
+@pytest.mark.parametrize("case, hash_seed", [
+    pytest.param(case, seed, id=case_id(case) + ("" if seed == "0" else f" PYTHONHASHSEED={seed}"))
+    for case in GOLDEN["commands"] for seed in ("0", "1")
+])
+def test_cli_output_matches_golden_digest(case, hash_seed):
+    code, out = run_cli(case["argv"], timeout=120, PYTHONHASHSEED=hash_seed)
     assert code == case["exit"]
     if "summary" in case:
         summary = " ".join(

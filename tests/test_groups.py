@@ -757,7 +757,7 @@ class TestStabiliserCosets:
             "C(2)×C(2)×C(8)",
             "C(2)×C(2)×S(3)",
             "C(2)×C(2)×D(4)",
-            "D(4)×Q8",  # 13 of its candidate searches fail and prune their orbits
+            "D(4)×Q8",  # the order-only DFS tries candidates of the wrong centraliser size
         ],
     )
     def test_self_isomorphisms_match_the_dfs(self, name):
@@ -768,6 +768,13 @@ class TestStabiliserCosets:
     @settings(max_examples=10, deadline=None)
     def test_relabelled_q8xc4_matches_the_dfs(self, perm):
         g = catalog_build("Q8×C(4)")
+        h = relabeled(g, (0,) + tuple(perm))
+        assert images(h, g) == list(oracles.dfs_isomorphisms(h, g))
+
+    @given(st.permutations(range(1, 64)))
+    @settings(max_examples=5, deadline=None)
+    def test_relabelled_d4xq8_matches_the_dfs(self, perm):
+        g = catalog_build("D(4)×Q8")
         h = relabeled(g, (0,) + tuple(perm))
         assert images(h, g) == list(oracles.dfs_isomorphisms(h, g))
 
@@ -794,16 +801,28 @@ class TestStabiliserCosets:
         assert len(images(g, g)) == 384
         assert calls[0] <= 536  # the leaf-by-leaf search makes 5,364
 
+    def test_listing_aut_d4xq8_skips_candidates_of_another_centraliser_size(self, monkeypatch):
+        calls = count_closures(monkeypatch)
+        g = catalog_build("D(4)×Q8")
+        assert len(images(g, g)) == 3072
+        assert calls[0] <= 600  # keyed by order alone, the listing makes 1,521
+
+    def test_equal_orders_unequal_centralisers_cost_no_closure(self, monkeypatch):
+        calls = count_closures(monkeypatch)
+        assert images(catalog_build("C(4)×C(4)"), catalog_build("C(2)×Q8")) == []
+        assert calls[0] == 0  # keyed by order alone, the search makes 132
+
     @pytest.mark.parametrize(
         "pair",
-        [(name, name) for name in DEFAULT_CATALOG_NAMES] + [("C(4)×C(4)", "C(2)×Q8")],
+        [(name, name) for name in DEFAULT_CATALOG_NAMES] + [("C(4)×C(4)", "C(2)×Q8")]
+        + [(name, name) for name in ("Q8×C(4)", "D(4)×Q8", "Q8×Q8")],
     )
     def test_first_isomorphism_costs_what_the_dfs_costs(self, monkeypatch, pair):
         g1, g2 = map(catalog_build, pair)
         calls = count_closures(monkeypatch)
         found = find_isomorphism(g1, g2)
         ours, calls[0] = calls[0], 0
-        expected = next(oracles.dfs_isomorphisms(g1, g2), None)
+        expected = next(oracles.dfs_isomorphisms(g1, g2, by_centraliser=True), None)
         assert (found.image if found else None) == expected
         assert ours == calls[0]
 
