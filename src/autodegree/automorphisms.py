@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .groups import (
     ORDER_CAP,
@@ -24,6 +24,7 @@ from .groups import (
     SubgroupSet,
     _Frozen,
     _closure_members,
+    _composition_table,
     _require_same_parent,
     closure_witness,
     compose_perms,
@@ -194,17 +195,13 @@ class AutGroup(_Frozen):
         Index i of the abstract group is members[i]; the identity lands at
         index 0 by the ordering argument above. An automorphism is fixed by
         its images of ``parent.generators`` (as in :meth:`GroupHom.validate`),
-        so each member is keyed by them, and a∘b by a's images of b's key:
+        so each member is keyed by them (:func:`_composition_table`):
         |generators| lookups per entry, not n. Only the autoisoclinism
         witness search reads this |A|^2-entry table.
         """
+        images = [a.image for a in self.members]
         gens = self.parent.generators
-        keys = [compose_perms(a.image, gens) for a in self.members]
-        index = {key: i for i, key in enumerate(keys)}
-        if len(index) != len(keys):
-            raise InvariantError("two automorphisms agree on the generators")
-        table = GroupTable(tuple(tuple(index[compose_perms(a.image, kb)] for kb in keys)
-                                 for a in self.members))
+        table = _composition_table(images, [compose_perms(img, gens) for img in images])
         if any(table.table[0][j] != j for j in range(len(self.members))):
             raise InvariantError("identity automorphism did not land at index 0")
         return table
@@ -290,21 +287,25 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
         ) from exc
 
 
-def coset_autocommutator(G: GroupTable, coset: tuple[int, ...], alpha: Automorphism) -> int:
-    """[x, alpha] = x^-1 alpha(x) for the representatives x of a coset of L, checked equal.
+def coset_pairing(
+    G: GroupTable, cosets: tuple[tuple[int, ...], ...], auts: Sequence[Automorphism]
+) -> tuple[tuple[int, ...], ...]:
+    """``rows[c][a]`` = [x, alpha] = x^-1 alpha(x) for x in ``cosets[c]``, alpha = ``auts[a]``.
 
-    Raises :class:`InvariantError` when two representatives disagree, and
-    :class:`ParentMismatchError` for an automorphism of a group other than G.
+    Every representative of every coset is read, and two that disagree raise
+    :class:`InvariantError`; an automorphism of a group other than G raises
+    :class:`ParentMismatchError` before any value is read.
     """
-    if alpha.parent != G:
+    if any(alpha.parent != G for alpha in auts):
         raise ParentMismatchError("automorphism belongs to a different group")
-    t, invs, img = G.table, G.inverses, alpha.image
-    values = {t[invs[x]][img[x]] for x in coset}
-    if len(values) != 1:
-        raise InvariantError(
-            f"coset {coset} maps to {sorted(values)} under {alpha.cycle_notation()}"
-        )
-    return values.pop()
+    t, invs = G.table, G.inverses
+    rows = [[{t[invs[x]][a.image[x]] for x in coset} for a in auts] for coset in cosets]
+    for coset, row in zip(cosets, rows):
+        for alpha, values in zip(auts, row):
+            if len(values) != 1:
+                raise InvariantError(f"coset {coset} maps to {sorted(values)} "
+                                     f"under {alpha.cycle_notation()}")
+    return tuple(tuple(value for (value,) in row) for row in rows)
 
 
 class SubgroupAction(_Frozen):
@@ -373,17 +374,15 @@ class SubgroupAction(_Frozen):
     def pairing(self) -> tuple[tuple[int, ...], ...]:
         """``pairing[c][a]``: [x, members[a]] for x in coset c of :attr:`quotient`.
 
-        Each value is an element of :attr:`commutator_group`, and every
-        representative of every coset is checked (:func:`coset_autocommutator`).
+        Each value is an element of :attr:`commutator_group`: the table of
+        :func:`coset_pairing`, which checks every representative of every
+        coset, mapped to positions in [H, A].
         """
-        G, pos = self.subgroup.parent, self.commutator_position
-        rows = []
-        for coset in self.quotient.cosets:
-            values = [coset_autocommutator(G, coset, a) for a in self.auts.members]
-            if any(v not in pos for v in values):
-                raise InvariantError("an autocommutator left the autocommutator subgroup")
-            rows.append(tuple(pos[v] for v in values))
-        return tuple(rows)
+        rows = coset_pairing(self.subgroup.parent, self.quotient.cosets, self.auts.members)
+        pos = self.commutator_position
+        if any(v not in pos for row in rows for v in row):
+            raise InvariantError("an autocommutator left the autocommutator subgroup")
+        return tuple(tuple(map(pos.__getitem__, row)) for row in rows)
 
     def label(self) -> str:
         """The parent's label, followed by the members of H unless H is the whole group."""

@@ -103,11 +103,6 @@ class GroupTable(_Frozen):
                 f"element index {a!r} does not belong to a group of order {len(self.table)}"
             )
 
-    def mul(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
-        return self.table[a][b]
-
     @cached_property
     def inverses(self) -> tuple[int, ...]:
         out = []
@@ -120,10 +115,6 @@ class GroupTable(_Frozen):
                 raise AxiomError(f"inverse: {b} inverts {a} on the right but not the left")
             out.append(b)
         return tuple(out)
-
-    def inv(self, a: int) -> int:
-        self.check_element(a)
-        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
         self.check_element(a)
@@ -618,15 +609,28 @@ def compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
 
 
-def permutation_table(perms: Sequence[tuple[int, ...]], name: Optional[str] = None) -> GroupTable:
-    """The Cayley table of permutations closed under :func:`compose_perms`.
+def _composition_table(perms: Sequence[tuple[int, ...]], keys: Sequence[tuple[int, ...]]) -> GroupTable:
+    """The Cayley table of ``perms`` under :func:`compose_perms`; index i is ``perms[i]``.
 
-    Index i of the table is ``perms[i]``; a product outside the list raises
-    KeyError.
+    ``keys[i]`` is ``perms[i]`` read at points that determine it: every
+    point, or a generating set. a∘b has key a read at b's key, so each
+    column reads through one getter over its key, built once. Two equal
+    keys raise :class:`InvariantError`; a product outside the list, KeyError.
     """
-    pos = {p: i for i, p in enumerate(perms)}
-    rows = tuple(tuple(pos[compose_perms(a, b)] for b in perms) for a in perms)
-    return GroupTable(rows, name=name)
+    index = {key: i for i, key in enumerate(keys)}
+    if len(index) != len(keys):
+        raise InvariantError("two permutations share a key")
+    columns = []
+    for key in keys:
+        # itemgetter of a single index returns the item itself, and of none fails.
+        read = itemgetter(*key) if len(key) > 1 else lambda a, key=key: tuple(a[x] for x in key)
+        columns.append(map(index.__getitem__, map(read, perms)))
+    return GroupTable(tuple(zip(*columns)))
+
+
+def permutation_table(perms: Sequence[tuple[int, ...]], name: Optional[str] = None) -> GroupTable:
+    """The Cayley table of permutations closed under :func:`compose_perms`, each its own key."""
+    return GroupTable(_composition_table(perms, perms).table, name=name)
 
 
 def close_partial_map(

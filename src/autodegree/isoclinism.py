@@ -52,8 +52,8 @@ def make_pair(
     l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l = x^-1 alpha(x).
     The pairing is not built here: :func:`_derive_beta` builds it on first
     use, after the witness-search caps have passed, so a pair refused by a
-    cap never pays for it. Every coset representative is still checked when
-    it is built, and a disagreement raises :class:`InvariantError`.
+    cap never pays for it. :func:`coset_pairing` builds it and checks every
+    coset representative, and a disagreement raises :class:`InvariantError`.
     """
     A = auts if auts is not None else am.compute_aut(G)
     images = {a.image for a in A.members}
@@ -174,11 +174,10 @@ def verify_witness(
 
     Verifies that each of psi, gamma, beta is an isomorphism, with one
     :meth:`GroupHom.validate` per map, and that the square commutes on
-    every (coset, automorphism) input, with the pairing values recomputed
-    by :func:`coset_autocommutator` from the definitions rather than read
-    from the stored pairing. Returns
-    (ok, counterexample-or-None); a counterexample names the failing map
-    as psi, gamma or beta.
+    every (coset, automorphism) input, one lookup each in the pairing
+    tables that :func:`coset_pairing` builds afresh for both sides; the
+    stored pairing is never read. Returns (ok, counterexample-or-None); a
+    counterexample names the failing map as psi, gamma or beta.
     """
     for label, hom, src, dst in (
         ("psi", witness.psi, P1.quotient.group, P2.quotient.group),
@@ -191,19 +190,16 @@ def verify_witness(
             hom.validate()
         except GroupError as exc:
             return False, f"{label}: {exc}"
-    G1, G2 = P1.subgroup.parent, P2.subgroup.parent
-    for c, coset in enumerate(P1.quotient.cosets):
-        for a, alpha in enumerate(P1.auts.members):
-            v1 = am.coset_autocommutator(G1, coset, alpha)
-            lhs = witness.beta.image[P1.commutator_position[v1]]
-            coset2 = P2.quotient.cosets[witness.psi.image[c]]
-            alpha2 = P2.auts.members[witness.gamma.image[a]]
-            v2 = am.coset_autocommutator(G2, coset2, alpha2)
-            rhs = P2.commutator_position[v2]
-            if lhs != rhs:
-                return False, (
-                    f"diagram fails at coset {c}, automorphism {alpha.cycle_notation()}"
-                )
+    rows1, rows2 = (am.coset_pairing(P.subgroup.parent, P.quotient.cosets, P.auts.members)
+                    for P in (P1, P2))
+    pos1, pos2 = P1.commutator_position, P2.commutator_position
+    psi, gamma, beta = witness.psi.image, witness.gamma.image, witness.beta.image
+    for c, row1 in enumerate(rows1):
+        row2 = rows2[psi[c]]
+        for a, v1 in enumerate(row1):
+            if beta[pos1[v1]] != pos2[row2[gamma[a]]]:
+                alpha = P1.auts.members[a].cycle_notation()
+                return False, f"diagram fails at coset {c}, automorphism {alpha}"
     return True, None
 
 

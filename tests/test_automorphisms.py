@@ -11,12 +11,13 @@ from autodegree import automorphisms, catalog
 from autodegree.catalog import catalog_build, cyclic, quaternion8, symmetric
 from autodegree.automorphisms import (
     AutGroup,
+    Automorphism,
     autocentre,
     autocommutator_set,
     autocommutator_subgroup,
     compute_aut,
-    coset_autocommutator,
     compute_inn,
+    coset_pairing,
     fixed_subgroup,
     orbit,
     orbits_on_subgroup,
@@ -154,15 +155,27 @@ class TestComputeAut:
 
     @pytest.mark.parametrize("name, size", [
         ("C(1)", 1), ("C(2)", 1), ("C(5)", 4), ("S(4)", 24), ("D(8)", 32), ("Q8", 24),
-        ("C(2)×Q8", 192),
+        ("C(2)×Q8", 192), ("Q8×C(4)", 384),
     ])
     def test_abstract_group_composition_consistent(self, name, size):
-        _, a = aut_of(name)
+        a = compute_aut(catalog_build(name), cap=32)
         t = a.abstract_group
         assert t.order == size
         for i, x in enumerate(a.members):
             for j, y in enumerate(a.members):
                 assert a.members[t.table[i][j]].image == tuple(x.image[k] for k in y.image)
+
+    def test_members_agreeing_on_the_generators_are_refused(self):
+        # C(4) is generated by 1; (0, 1, 3, 2) is no automorphism but agrees with the identity there.
+        g = catalog_build("C(4)")
+        assert g.generators == (1,)
+        fake = AutGroup(g, (compute_aut(g).members[0], Automorphism(g, (0, 1, 3, 2))))
+        with pytest.raises(InvariantError, match="share a key"):
+            fake.abstract_group
+
+    def test_repeated_permutation_is_refused(self):
+        with pytest.raises(InvariantError, match="share a key"):
+            permutation_table([(0, 1), (1, 0), (0, 1)])
 
 
 def affine_group(p: int) -> GroupTable:
@@ -233,26 +246,31 @@ class TestComputeInn:
 class TestAutocommutator:
     def test_identity_automorphism_gives_identity(self):
         g, a = aut_of("C(4)")
-        for x in g.elements():
-            assert coset_autocommutator(g, (x,), a.members[0]) == 0
+        singletons = tuple((x,) for x in g.elements())
+        assert coset_pairing(g, singletons, a.members[:1]) == ((0,),) * g.order
 
     def test_z4_inversion(self):
         g, a = aut_of("C(4)")
         inversion = a.members[1]
         assert inversion.image == (0, 3, 2, 1)
-        assert coset_autocommutator(g, (1,), inversion) == 2
+        assert coset_pairing(g, ((1,),), (inversion,)) == ((2,),)
 
     def test_fixed_points_give_identity(self):
         g, a = aut_of("C(4)")
         core = autocentre(whole_subgroup(g), a)
-        for x in core.members:
-            for alpha in a.members:
-                assert coset_autocommutator(g, (x,), alpha) == 0
+        rows = coset_pairing(g, tuple((x,) for x in core.members), a.members)
+        assert rows == ((0,) * a.size,) * core.size
 
     def test_parent_mismatch(self):
         g, a = aut_of("C(4)")
         with pytest.raises(ParentMismatchError):
-            coset_autocommutator(cyclic(5), (1,), a.members[1])
+            coset_pairing(cyclic(5), ((1,),), a.members[1:])
+
+    def test_representatives_that_disagree(self):
+        # (0, 1) is no coset of the autocentre {0, 2}: inversion sends 0 to 0 and 1 to 2.
+        g, a = aut_of("C(4)")
+        with pytest.raises(InvariantError, match=r"coset \(0, 1\) maps to \[0, 2\] under \(1 3\)"):
+            coset_pairing(g, ((0, 2), (0, 1)), a.members)
 
     def test_fixed_subgroup_refuses_a_foreign_automorphism(self):
         # Every index of C(4) is in range for an automorphism of C(8), so

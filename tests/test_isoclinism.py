@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from autodegree import automorphisms, cli, isoclinism
-from autodegree.automorphisms import AutGroup, Automorphism, compute_aut, coset_autocommutator
+from autodegree.automorphisms import (
+    AutGroup,
+    Automorphism,
+    SubgroupAction,
+    compute_aut,
+    coset_pairing,
+)
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
 from autodegree.groups import (
@@ -40,7 +46,7 @@ def pair_of(name: str):
 
 def pairing_value(P, c, alpha) -> int:
     """[x, alpha] for x in coset c of the pair's quotient, from the definition."""
-    return coset_autocommutator(P.subgroup.parent, P.quotient.cosets[c], alpha)
+    return coset_pairing(P.subgroup.parent, P.quotient.cosets[c:c + 1], (alpha,))[0][0]
 
 
 def any_beta_derives(P1, P2) -> bool:
@@ -158,6 +164,25 @@ class TestWitnessSearch:
         )
         ok, why = verify_witness(p, p, ident)
         assert ok, why
+
+    @pytest.mark.parametrize("name1, name2", [
+        ("S(3)", "S(3)"), ("Q8", "Q8"), ("D(4)", "D(4)"), ("D(6)", "Dic(3)"),
+    ])
+    def test_verify_reads_no_stored_pairing(self, monkeypatch, name1, name2):
+        # The search fills each pair's stored pairing; once it is gone, the
+        # check still builds both sides' tables itself.
+        p1 = pair_of(name1)
+        p2 = p1 if name2 == name1 else pair_of(name2)
+        w = find_autoisoclinism(p1, p2)
+        assert w is not None
+
+        def refuse(self):
+            raise AssertionError("verify_witness read the stored pairing")
+
+        monkeypatch.setattr(SubgroupAction, "pairing", property(refuse))
+        calls = _count_pairing_builds(monkeypatch)
+        assert verify_witness(p1, p2, w) == (True, None)
+        assert calls == [p1.label(), p2.label()]  # one table per side
 
     def test_corrupted_beta_rejected_with_counterexample(self):
         p = pair_of("C(4)")
@@ -377,18 +402,18 @@ def test_verify_checks_each_found_witness_once(monkeypatch):
 
 
 def _count_pairing_builds(monkeypatch) -> list[str]:
-    """Wrap ``coset_autocommutator`` in every package namespace; log each call's group."""
+    """Wrap ``coset_pairing`` in every package namespace; log each call's group."""
     calls = []
-    real = automorphisms.coset_autocommutator
+    real = automorphisms.coset_pairing
 
-    def counted(G, coset, alpha):
+    def counted(G, cosets, auts):
         calls.append(G.label())
-        return real(G, coset, alpha)
+        return real(G, cosets, auts)
 
     for name, mod in list(sys.modules.items()):
         if name == "autodegree" or name.startswith("autodegree."):
-            if getattr(mod, "coset_autocommutator", None) is real:
-                monkeypatch.setattr(mod, "coset_autocommutator", counted)
+            if getattr(mod, "coset_pairing", None) is real:
+                monkeypatch.setattr(mod, "coset_pairing", counted)
     return calls
 
 
