@@ -7,18 +7,23 @@ byte-identical output.
 
 Output is written while it is produced, in chunks of about ``CHUNK_CHARS``
 characters, so ``verify`` and ``compute`` never hold their whole output:
-``compute --subgroup all`` prints |subgroups| × |Aut| automorphism lines. Every refusal happens before
+``compute --subgroup all`` prints |subgroups| × |Aut| automorphism lines, and
+``verify`` writes each check record while the scan runs, keeping only the
+counts, findings, warnings and vacuous kinds, so its memory does not grow
+with the record count. Every refusal happens before
 the first write, so stdout stays empty on those exits: argparse errors,
 catalog name errors and cap refusals, table-file errors, subgroup-spec
 errors, and a group label that ``--format kv`` cannot write (a file name
 holding a newline). Only an internal ``InvariantError`` raised while the
-output is being rendered can leave completed chunks on stdout (exit 2).
+output is being rendered, or while a ``verify`` scan runs, can leave
+completed chunks on stdout (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -30,30 +35,43 @@ from .catalog import catalog_build, catalog_order
 from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, _ascii_int, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
-from .scan import SUITES, run_scan, render_scan_human, render_scan_kv
+from .scan import SCAN_FORMATS, SUITES, run_scan
 
 # One write per chunk keeps the cost per line off the system call even when
 # stdout is unbuffered (PYTHONUNBUFFERED).
 CHUNK_CHARS = 64 * 1024
 
 
-def _emit(lines: Iterable[str]) -> None:
-    """Write each line and a newline to ``sys.stdout`` in chunks of about ``CHUNK_CHARS``.
+class _ChunkWriter:
+    """Lines to ``sys.stdout``, each with a newline, in chunks of about ``CHUNK_CHARS``.
 
     A chunk is written once it reaches ``CHUNK_CHARS``, so none is longer
-    than that plus its last line.
+    than that plus its last line; ``end`` writes the rest.
     """
-    out = sys.stdout
-    chunk: list[str] = []
-    size = 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line) + 1
-        if size >= CHUNK_CHARS:
-            out.write("\n".join(chunk) + "\n")
-            chunk, size = [], 0
-    if chunk:
-        out.write("\n".join(chunk) + "\n")
+
+    def __init__(self) -> None:
+        self.out = sys.stdout
+        self.chunk: list[str] = []
+        self.size = 0
+
+    def write(self, lines: Iterable[str]) -> None:
+        for line in lines:
+            self.chunk.append(line)
+            self.size += len(line) + 1
+            if self.size >= CHUNK_CHARS:
+                self.end()
+
+    def end(self) -> None:
+        if self.chunk:
+            self.out.write("\n".join(self.chunk) + "\n")
+            self.chunk, self.size = [], 0
+
+
+def _emit(lines: Iterable[str]) -> None:
+    """Write every line through one :class:`_ChunkWriter`."""
+    out = _ChunkWriter()
+    out.write(lines)
+    out.end()
 
 
 def load_group(spec: str) -> GroupTable:
@@ -121,13 +139,20 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    head, record, tail = SCAN_FORMATS[args.format]
+    out = _ChunkWriter()
+    out.write(head(args.suite, args.max_order))
+    index = itertools.count()
+    # Each record is written as the scan makes it, and none is kept.
     report = run_scan(
         suite=args.suite,
         max_order=args.max_order,
         aut_cap=args.aut_cap,
         quotient_cap=args.witness_cap,
+        on_record=lambda r: out.write(record(next(index), r)),
     )
-    _emit(render_scan_kv(report) if args.format == "kv" else render_scan_human(report))
+    out.write(tail(report))
+    out.end()
     return 1 if report.failures else 0
 
 

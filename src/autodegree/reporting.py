@@ -101,11 +101,12 @@ def render_degree_human(report: DegreeReport, cycles: list[str]) -> list[str]:
     return lines
 
 
-def describe_check(check: BoundCheck) -> str:
+def describe_check(check: BoundCheck, value: str, bound: str) -> str:
+    """The detail of ``check``, whose value and bound are already formatted as ``value`` and ``bound``."""
     sym = {"upper": "<=", "lower": ">=", "equal": "=="}[check.direction]
     met = check.condition_met
     return (
-        f"{check.value} {sym} {check.bound}"
+        f"{value} {sym} {bound}"
         f"{' equality' if check.is_equality and check.direction != 'equal' else ''}"
         f"{'' if check.p is None else f' p={check.p}'}"
         f"{'' if check.q is None else f' q={check.q}'}"
@@ -114,9 +115,10 @@ def describe_check(check: BoundCheck) -> str:
     )
 
 
-def describe_equality(report: EqualityReport) -> str:
+def describe_equality(report: EqualityReport, pr: str) -> str:
+    """The detail of ``report``, whose degree is already formatted as ``pr``."""
     parts = [
-        f"pr={report.pr}",
+        f"pr={pr}",
         f"p={report.p}",
         f"q={report.q}",
         f"divisibility={'ok' if report.divisibility_holds else 'violated'}",

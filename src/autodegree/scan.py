@@ -8,6 +8,7 @@ order, subgroups in (size, members) order, checks in a fixed sequence.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -40,34 +41,72 @@ def default_catalog() -> tuple[CatalogEntry, ...]:
 
 
 class CheckRecord:
+    """One check's outcome.
+
+    ``value`` and ``bound`` are kept as the text the output shows, formatted
+    once when the record is made: either may be given as a ``Fraction`` or
+    as that text, and reading it back parses the text into the same exact
+    ``Fraction``.
+    """
+
+    __slots__ = ("suite", "group", "subgroup", "name", "status", "value_text", "bound_text",
+                 "detail", "__weakref__")
+
     def __init__(self, suite: str, group: str, subgroup: str, name: str,
                  status: str,  # pass | fail | inapplicable | finding
-                 value: Optional[Fraction] = None, bound: Optional[Fraction] = None,
+                 value: Optional[Fraction | str] = None, bound: Optional[Fraction | str] = None,
                  detail: str = ""):
         self.suite, self.group, self.subgroup, self.name = suite, group, subgroup, name
-        self.status, self.value, self.bound, self.detail = status, value, bound, detail
+        self.status, self.detail = status, detail
+        self.value_text = None if value is None else str(value)
+        self.bound_text = None if bound is None else str(bound)
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.value_text is None else Fraction(self.value_text)
+
+    @property
+    def bound(self) -> Optional[Fraction]:
+        return None if self.bound_text is None else Fraction(self.bound_text)
 
 
 class ScanReport:
-    def __init__(self, suite: str, max_order: int):
+    """A scan's per-status counts, findings, warnings and vacuous kinds.
+
+    Each record goes to ``add``, which counts it and hands it on: to
+    ``records`` unless an ``on_record`` callback takes it instead.
+    """
+
+    def __init__(self, suite: str, max_order: int,
+                 on_record: Optional[Callable[[CheckRecord], None]] = None):
         self.suite, self.max_order = suite, max_order
         self.records: list[CheckRecord] = []
         self.findings: list[str] = []
         self.warnings: list[str] = []
         self.vacuous: list[str] = []
+        self.counts: Counter[str] = Counter()
+        # The equalities-suite record names with an applicable instance.
+        self.applicable_equalities: set[str] = set()
+        self._take = self.records.append if on_record is None else on_record
+
+    def add(self, record: CheckRecord) -> None:
+        self.counts[record.status] += 1
+        if record.suite == "equalities" and record.status != "inapplicable":
+            self.applicable_equalities.add(record.name)
+        self._take(record)
 
     def count(self, status: str) -> int:
-        return sum(1 for r in self.records if r.status == status)
+        return self.counts[status]
 
     @property
     def failures(self) -> int:
-        return self.count("fail")
+        return self.counts["fail"]
 
     def summary(self) -> dict[str, int]:
         return {
-            "pass": self.count("pass"),
-            "fail": self.count("fail"),
-            "inapplicable": self.count("inapplicable"),
+            "pass": self.counts["pass"],
+            "fail": self.counts["fail"],
+            "inapplicable": self.counts["inapplicable"],
             "vacuous": len(self.vacuous),
             "findings": len(self.findings),
         }
@@ -84,26 +123,33 @@ class _Scan:
         self.quotient_cap = quotient_cap
 
     def add(self, suite: str, group: str, sub: str, name: str, status: str,
-            value=None, bound=None, detail: str = "") -> None:
-        self.report.records.append(
-            CheckRecord(suite, group, sub, name, status, value, bound, detail)
-        )
+            value=None, bound=None, detail: str = "") -> CheckRecord:
+        record = CheckRecord(suite, group, sub, name, status, value, bound, detail)
+        self.report.add(record)
+        return record
 
-    def add_check(self, suite: str, group: str, sub: str, check: BoundCheck) -> None:
-        if not check.hypothesis_met:
-            status = "inapplicable"
-        elif check.holds:
-            status = "pass"
-        elif check.informational:
-            status = "finding"
-            self.report.findings.append(
-                f"{group} [{sub}] {check.name}: informational comparison fails "
-                f"({describe_check(check)})"
-            )
-        else:
-            status = "fail"
-        self.add(suite, group, sub, check.name, status,
-                 check.value, check.bound, describe_check(check))
+    def add_check(self, suite: str, group: str, sub: str, check: BoundCheck,
+                  name: Optional[str] = None, status: Optional[str] = None) -> CheckRecord:
+        """A record of ``check`` under ``name`` (default its own), its value and bound formatted once.
+
+        Without ``status`` the check decides it, and an informational
+        comparison that fails is also a finding.
+        """
+        value, bound = str(check.value), str(check.bound)
+        detail = describe_check(check, value, bound)
+        if status is None:
+            if not check.hypothesis_met:
+                status = "inapplicable"
+            elif check.holds:
+                status = "pass"
+            elif check.informational:
+                status = "finding"
+                self.report.findings.append(
+                    f"{group} [{sub}] {check.name}: informational comparison fails ({detail})"
+                )
+            else:
+                status = "fail"
+        return self.add(suite, group, sub, name or check.name, status, value, bound, detail)
 
     # ----- suites ---------------------------------------------------------
 
@@ -111,26 +157,26 @@ class _Scan:
         inn = am.compute_inn(entry.group)
         for h, sub in zip(subs, labels):
             rep = deg.degree_report(h, A)
+            pr = str(rep.pr_definition)
             self.add(
                 "formulas", entry.name, sub, "formula_agreement",
-                "pass" if rep.formulas_agree() else "fail",
-                rep.pr_definition, None,
-                f"def={rep.pr_definition} stab={rep.pr_stab_sum} "
-                f"fixed={rep.pr_fixed_sum} orbit={rep.pr_orbit}",
+                "pass" if rep.formulas_agree() else "fail", pr, None,
+                f"def={pr} stab={rep.pr_stab_sum} fixed={rep.pr_fixed_sum} orbit={rep.pr_orbit}",
             )
             integer_ok = (rep.pr_definition * h.size * A.size).denominator == 1
             self.add("formulas", entry.name, sub, "pair_count_integral",
-                     "pass" if integer_ok else "fail", rep.pr_definition)
+                     "pass" if integer_ok else "fail", pr)
             one_iff = (rep.pr_definition == 1) == rep.h_equals_autocentre
             self.add("formulas", entry.name, sub, "degree_one_iff_fixed",
-                     "pass" if one_iff else "fail", rep.pr_definition)
+                     "pass" if one_iff else "fail", pr)
             commuting = deg.pr_commuting(h)
             inner = deg.pr_definition(h, inn)
             inner_orbit = deg.pr_via_orbits(h, inn)
             bridge_ok = commuting == inner == inner_orbit
+            commuting_text, inner_text = str(commuting), str(inner)
             self.add("formulas", entry.name, sub, "inner_degree_is_commuting",
-                     "pass" if bridge_ok else "fail", inner, commuting,
-                     f"commuting={commuting} inner={inner} class-average={inner_orbit}")
+                     "pass" if bridge_ok else "fail", inner_text, commuting_text,
+                     f"commuting={commuting_text} inner={inner_text} class-average={inner_orbit}")
             for finding in rep.findings:
                 self.report.findings.append(f"{entry.name} [{sub}]: {finding}")
 
@@ -154,11 +200,8 @@ class _Scan:
                 if h.member_set <= k.member_set:
                     c = deg.check_monotonicity(h, k, A)
                     ok = c.holds and (c.is_equality == c.condition_met)
-                    self.add(
-                        "upper", entry.name, f"{h_label}<={k_label}",
-                        "monotonicity", "pass" if ok else "fail",
-                        c.value, c.bound, describe_check(c),
-                    )
+                    self.add_check("upper", entry.name, f"{h_label}<={k_label}", c,
+                                   "monotonicity", "pass" if ok else "fail")
 
     def lower(self, entry: CatalogEntry, A, subs, labels) -> None:
         for h, sub in zip(subs, labels):
@@ -171,11 +214,11 @@ class _Scan:
                          detail=str(exc))
                 continue
             self.add_check("lower", entry.name, sub, main)
-            self.add_check("lower", entry.name, sub, sset)
+            recorded = self.add_check("lower", entry.name, sub, sset)
             characterized = sset.is_equality == sset.condition_met
             self.add("lower", entry.name, sub, "lower_S_equality_characterization",
-                     "pass" if characterized else "fail", sset.value, sset.bound,
-                     describe_check(sset))
+                     "pass" if characterized else "fail", recorded.value_text,
+                     recorded.bound_text, recorded.detail)
             for c in commutator:
                 self.add_check("lower", entry.name, sub, c)
 
@@ -198,9 +241,10 @@ class _Scan:
                     self.add("equalities", entry.name, sub, name, "inapplicable",
                              detail=inapplicable)
                 else:
+                    pr = str(rep.pr)
                     self.add("equalities", entry.name, sub, name,
-                             "pass" if rep.passed() else "fail", rep.pr,
-                             detail=describe_equality(rep))
+                             "pass" if rep.passed() else "fail", pr,
+                             detail=describe_equality(rep, pr))
             if not converse:
                 self.add("equalities", entry.name, sub, "converse", "inapplicable",
                          detail="orbit sizes outside the autocentre are not all p")
@@ -252,9 +296,8 @@ class _Scan:
                     self.add("isoclinism", label, "whole", "pair_witness", "fail",
                              detail=why)
                     continue
-                self.add("isoclinism", label, "whole", "pair_equal_degree",
-                         "pass" if c.holds else "fail", c.value, c.bound,
-                         describe_check(c))
+                self.add_check("isoclinism", label, "whole", c,
+                               "pair_equal_degree", "pass" if c.holds else "fail")
 
 
 def run_scan(
@@ -264,12 +307,19 @@ def run_scan(
     quotient_cap: int = QUOTIENT_CAP,
     catalog: Optional[tuple[CatalogEntry, ...]] = None,
     group_cap: int = ORDER_CAP,
+    on_record: Optional[Callable[[CheckRecord], None]] = None,
 ) -> ScanReport:
-    """Run the selected suite over every catalog (G, H) with |G| <= max_order."""
+    """Run the selected suite over every catalog (G, H) with |G| <= max_order.
+
+    The report holds every record in ``records``. With ``on_record``, each
+    record is passed to it as soon as it is made and none is kept, so memory
+    does not grow with the record count; the counts, findings, warnings and
+    vacuous kinds are kept either way.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     selected = SUITES if suite == "all" else (suite,)
-    report = ScanReport(suite=suite, max_order=max_order)
+    report = ScanReport(suite, max_order, on_record)
     scan = _Scan(report, aut_cap, quotient_cap)
     entries = [
         e for e in (catalog if catalog is not None else default_catalog())
@@ -296,11 +346,9 @@ def run_scan(
         for entry, A, subs, labels in prepared:
             runner(entry, A, subs, labels)
     if suite in ("equalities", "all"):
-        found = {r.name for r in report.records
-                 if r.suite == "equalities" and r.status != "inapplicable"}
         for kind, name in (("converse", "converse_degree"), ("equality_pq", "equality_pq"),
                            ("equality_pq2", "equality_pq2")):
-            if name not in found:
+            if name not in report.applicable_equalities:
                 report.vacuous.append(
                     f"{kind}: no applicable instance with |G| <= {max_order} "
                     f"(vacuously true)"
@@ -308,19 +356,28 @@ def run_scan(
     return report
 
 
-def render_scan_human(report: ScanReport) -> Iterator[str]:
-    """The report as text, one line at a time."""
-    yield f"suite: {report.suite}"
-    yield f"max order: {report.max_order}"
-    for r in report.records:
-        bits = [f"[{r.status}]", r.group, r.subgroup, r.name]
-        if r.value is not None:
-            bits.append(f"value={r.value}")
-        if r.bound is not None:
-            bits.append(f"bound={r.bound}")
-        if r.detail:
-            bits.append(f"({r.detail})")
-        yield " ".join(bits)
+# A scan's text in each output format: the lines before the records (from the
+# suite and the maximum order), each record's lines (from its index and the
+# record), and the lines after them (from the finished report). The CLI
+# writes them while the scan runs; render_scan_kv and render_scan_human
+# render a finished report.
+
+def _human_head(suite: str, max_order: int) -> list[str]:
+    return [f"suite: {suite}", f"max order: {max_order}"]
+
+
+def _human_record(i: int, r: CheckRecord) -> list[str]:
+    bits = [f"[{r.status}]", r.group, r.subgroup, r.name]
+    if r.value_text is not None:
+        bits.append(f"value={r.value_text}")
+    if r.bound_text is not None:
+        bits.append(f"bound={r.bound_text}")
+    if r.detail:
+        bits.append(f"({r.detail})")
+    return [" ".join(bits)]
+
+
+def _human_tail(report: ScanReport) -> Iterator[str]:
     for w in report.warnings:
         yield f"warning: {w}"
     for f in report.findings:
@@ -333,30 +390,32 @@ def render_scan_human(report: ScanReport) -> Iterator[str]:
     )
 
 
-def render_scan_kv(report: ScanReport) -> Iterator[str]:
-    """The report as kv lines, one at a time.
+def _kv_head(suite: str, max_order: int) -> list[str]:
+    return [kv_line("scan.suite", suite), kv_line("scan.max_order", max_order)]
 
-    Each record's text fields are checked for a newline once, together; a
-    hit raises the :func:`kv_line` error of the first field that holds one.
+
+def _kv_record(i: int, r: CheckRecord) -> list[str]:
+    """The record's kv lines.
+
+    Its text fields are checked for a newline once, together; a hit raises
+    the :func:`kv_line` error of the first field that holds one.
     """
-    yield kv_line("scan.suite", report.suite)
-    yield kv_line("scan.max_order", report.max_order)
-    for i, r in enumerate(report.records):
-        p = f"record.{i}"
-        if "\n" in f"{r.suite}{r.group}{r.subgroup}{r.name}{r.status}{r.detail}":
-            for field in ("suite", "group", "subgroup", "name", "status", "detail"):
-                kv_line(f"{p}.{field}", getattr(r, field))
-        yield f"{p}.suite={r.suite}"
-        yield f"{p}.group={r.group}"
-        yield f"{p}.subgroup={r.subgroup}"
-        yield f"{p}.name={r.name}"
-        yield f"{p}.status={r.status}"
-        if r.value is not None:
-            yield f"{p}.value={r.value}"
-        if r.bound is not None:
-            yield f"{p}.bound={r.bound}"
-        if r.detail:
-            yield f"{p}.detail={r.detail}"
+    p = f"record.{i}"
+    if "\n" in f"{r.suite}{r.group}{r.subgroup}{r.name}{r.status}{r.detail}":
+        for field in ("suite", "group", "subgroup", "name", "status", "detail"):
+            kv_line(f"{p}.{field}", getattr(r, field))
+    lines = [f"{p}.suite={r.suite}", f"{p}.group={r.group}", f"{p}.subgroup={r.subgroup}",
+             f"{p}.name={r.name}", f"{p}.status={r.status}"]
+    if r.value_text is not None:
+        lines.append(f"{p}.value={r.value_text}")
+    if r.bound_text is not None:
+        lines.append(f"{p}.bound={r.bound_text}")
+    if r.detail:
+        lines.append(f"{p}.detail={r.detail}")
+    return lines
+
+
+def _kv_tail(report: ScanReport) -> Iterator[str]:
     for i, w in enumerate(report.warnings):
         yield kv_line(f"warning.{i}", w)
     for i, f in enumerate(report.findings):
@@ -365,3 +424,26 @@ def render_scan_kv(report: ScanReport) -> Iterator[str]:
         yield kv_line(f"vacuous.{i}", v)
     for key, value in report.summary().items():
         yield kv_line(f"summary.{key}", value)
+
+
+# format -> (head, record, tail)
+SCAN_FORMATS = {"human": (_human_head, _human_record, _human_tail),
+                "kv": (_kv_head, _kv_record, _kv_tail)}
+
+
+def _render(report: ScanReport, fmt: str) -> Iterator[str]:
+    head, record, tail = SCAN_FORMATS[fmt]
+    yield from head(report.suite, report.max_order)
+    for i, r in enumerate(report.records):
+        yield from record(i, r)
+    yield from tail(report)
+
+
+def render_scan_human(report: ScanReport) -> Iterator[str]:
+    """The report as text, one line at a time."""
+    return _render(report, "human")
+
+
+def render_scan_kv(report: ScanReport) -> Iterator[str]:
+    """The report as kv lines, one at a time."""
+    return _render(report, "kv")

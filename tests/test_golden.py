@@ -20,12 +20,13 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from autodegree import CatalogEntry, catalog_build, cli, run_scan
-from autodegree.scan import render_scan_kv
+from autodegree.scan import CheckRecord, _Scan, render_scan_kv
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
@@ -137,6 +138,39 @@ def test_output_is_written_in_bounded_chunks(monkeypatch, argv):
     assert max(map(len, out.writes)) <= cli.CHUNK_CHARS + max(map(len, lines))
 
 
+def test_verify_writes_records_while_the_scan_runs(monkeypatch):
+    """By the time the isoclinism suite starts, the earlier suites' records are written and freed.
+
+    The scan has made 4,458 records by then; fewer than 1,000 may still be alive.
+    """
+    out = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    alive = weakref.WeakSet()
+    make_record = CheckRecord.__init__
+
+    def tracked(self, *args, **kwargs):
+        make_record(self, *args, **kwargs)
+        alive.add(self)
+
+    monkeypatch.setattr(CheckRecord, "__init__", tracked)
+    at_isoclinism = []
+    isoclinism = _Scan.isoclinism
+
+    def noted(self, *args):
+        at_isoclinism.append((len(out.writes), len(alive)))
+        return isoclinism(self, *args)
+
+    monkeypatch.setattr(_Scan, "isoclinism", noted)
+    argv = ["verify", "--suite", "all", "--max-order", "24", "--format", "kv"]
+    code = cli.main(argv)
+    case = golden_case(argv)
+    assert code == case["exit"]
+    assert hashlib.sha256("".join(out.writes).encode("utf-8")).hexdigest() == case["sha256"]
+    [(chunks, records)] = at_isoclinism
+    assert chunks >= 1
+    assert records < 1000
+
+
 # Run in a fresh interpreter, the CLI reports its own peak resident set on
 # stderr. E(2,4) has 67 subgroups and |Aut| = 20160, so ``compute --subgroup
 # all`` prints 77 MB. Held whole before writing, it peaked at 328 MB; written
@@ -179,20 +213,32 @@ def test_e24_compute_all_streams_within_memory_bound(tmp_path):
 # line a byte at a time and close the pipe, and the child still has output to
 # write, whether stdout is block-buffered (its tail waits in the buffer) or
 # not; that write must fail into the one error line, not into a traceback.
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_pipe_gives_one_error_line(unbuffered):
+# The headline verify writes about 1 MB while its scan runs, so there the
+# failing write is made inside the scan.
+COMPUTE_S4 = (["compute", "--group", "S(4)", "--subgroup", "all", "--format", "kv"],
+              "compute.group=S(4)")
+VERIFY_24 = (["verify", "--suite", "all", "--max-order", "24", "--format", "kv"],
+             "scan.suite=all")
+
+
+@pytest.mark.parametrize("argv, first, unbuffered", [
+    pytest.param(*COMPUTE_S4, False, id="buffered"),
+    pytest.param(*COMPUTE_S4, True, id="unbuffered"),
+    pytest.param(*VERIFY_24, False, id="verify-buffered"),
+    pytest.param(*VERIFY_24, True, id="verify-unbuffered"),
+])
+def test_closed_pipe_gives_one_error_line(argv, first, unbuffered):
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["compute", "--group", "S(4)", "--subgroup", "all", "--format", "kv"]
     child = subprocess.Popen([sys.executable, "-m", "autodegree", *argv],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = b""
-    while not first.endswith(b"\n"):
-        first += os.read(child.stdout.fileno(), 1)
+    got = b""
+    while not got.endswith(b"\n"):
+        got += os.read(child.stdout.fileno(), 1)
     child.stdout.close()
     _, err = child.communicate(timeout=60)
-    assert first == "compute.group=S(4)\n".encode("utf-8")
+    assert got == f"{first}\n".encode("utf-8")
     assert err.decode("utf-8").splitlines() == ["error: [Errno 32] Broken pipe"]
     assert child.returncode == 2
