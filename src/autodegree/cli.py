@@ -5,12 +5,13 @@ unequal-degree witness, 2 usage or input error, or a reader that closed
 stdout early, 3 a size cap was exceeded. Identical invocations produce
 byte-identical output.
 
-Output is written while it is produced, in chunks of about ``CHUNK_CHARS``
-characters, so ``verify`` and ``compute`` never hold their whole output:
-``compute --subgroup all`` prints |subgroups| × |Aut| automorphism lines, and
-``verify`` writes each check record while the scan runs, keeping only the
-counts, findings, warnings and vacuous kinds, so its memory does not grow
-with the record count. Every refusal happens before
+Output is written while it is produced, by one ``_emit``, in chunks of about
+``CHUNK_CHARS`` characters, so ``verify`` and ``compute`` never hold their
+whole output: ``compute --subgroup all`` prints |subgroups| × |Aut|
+automorphism lines, and ``verify`` renders the scan's records as they leave
+it, one (suite, group) batch at a time, keeping only the counts, findings,
+warnings and vacuous kinds, so its memory is bounded by the largest batch,
+not the record count. Every refusal happens before
 the first write, so stdout stays empty on those exits: argparse errors,
 catalog name errors and cap refusals, table-file errors, subgroup-spec
 errors, and a group label that ``--format kv`` cannot write (a file name
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -35,43 +35,30 @@ from .catalog import catalog_build, catalog_order
 from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, _ascii_int, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
 from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
-from .scan import SCAN_FORMATS, SUITES, run_scan
+from .scan import DEFAULT_CATALOG_NAMES, SUITES, ScanReport, scan_human, scan_kv, scan_records
 
 # One write per chunk keeps the cost per line off the system call even when
 # stdout is unbuffered (PYTHONUNBUFFERED).
 CHUNK_CHARS = 64 * 1024
 
 
-class _ChunkWriter:
-    """Lines to ``sys.stdout``, each with a newline, in chunks of about ``CHUNK_CHARS``.
+def _emit(lines: Iterable[str]) -> None:
+    """Write each line and a newline to ``sys.stdout`` in chunks of about ``CHUNK_CHARS``.
 
     A chunk is written once it reaches ``CHUNK_CHARS``, so none is longer
-    than that plus its last line; ``end`` writes the rest.
+    than that plus its last line.
     """
-
-    def __init__(self) -> None:
-        self.out = sys.stdout
-        self.chunk: list[str] = []
-        self.size = 0
-
-    def write(self, lines: Iterable[str]) -> None:
-        for line in lines:
-            self.chunk.append(line)
-            self.size += len(line) + 1
-            if self.size >= CHUNK_CHARS:
-                self.end()
-
-    def end(self) -> None:
-        if self.chunk:
-            self.out.write("\n".join(self.chunk) + "\n")
-            self.chunk, self.size = [], 0
-
-
-def _emit(lines: Iterable[str]) -> None:
-    """Write every line through one :class:`_ChunkWriter`."""
-    out = _ChunkWriter()
-    out.write(lines)
-    out.end()
+    out = sys.stdout
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= CHUNK_CHARS:
+            out.write("\n".join(chunk) + "\n")
+            chunk, size = [], 0
+    if chunk:
+        out.write("\n".join(chunk) + "\n")
 
 
 def load_group(spec: str) -> GroupTable:
@@ -139,20 +126,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    head, record, tail = SCAN_FORMATS[args.format]
-    out = _ChunkWriter()
-    out.write(head(args.suite, args.max_order))
-    index = itertools.count()
-    # Each record is written as the scan makes it, and none is kept.
-    report = run_scan(
-        suite=args.suite,
-        max_order=args.max_order,
-        aut_cap=args.aut_cap,
-        quotient_cap=args.witness_cap,
-        on_record=lambda r: out.write(record(next(index), r)),
-    )
-    out.write(tail(report))
-    out.end()
+    report = ScanReport(args.suite, args.max_order)
+    records = scan_records(report, aut_cap=args.aut_cap, quotient_cap=args.witness_cap)
+    _emit((scan_kv if args.format == "kv" else scan_human)(report, records))
     return 1 if report.failures else 0
 
 
@@ -205,16 +181,13 @@ def cmd_isoclinic(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    from .scan import default_catalog
-
     lines = []
-    if args.format == "kv":
-        for i, entry in enumerate(default_catalog()):
-            lines.append(kv_line(f"group.{i}.name", entry.name))
-            lines.append(kv_line(f"group.{i}.order", entry.group.order))
-    else:
-        for entry in default_catalog():
-            lines.append(f"{entry.name} (order {entry.group.order})")
+    for i, name in enumerate(DEFAULT_CATALOG_NAMES):
+        order = catalog_order(name)
+        if args.format == "kv":
+            lines += [kv_line(f"group.{i}.name", name), kv_line(f"group.{i}.order", order)]
+        else:
+            lines.append(f"{name} (order {order})")
     _emit(lines)
     return 0
 

@@ -400,18 +400,27 @@ def whole_subgroup(G: GroupTable) -> SubgroupSet:
     return SubgroupSet(G, tuple(G.elements()))
 
 
+def _tuple_getter(points: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A function that reads a sequence at ``points``, in order, into a tuple.
+
+    It is an ``itemgetter`` when there are two points or more: of a single
+    index that returns the item itself, not a 1-tuple, and of none it fails.
+    """
+    return itemgetter(*points) if len(points) > 1 else lambda seq: tuple(seq[x] for x in points)
+
+
 def _right_cosets(
     G: GroupTable, base: tuple[int, ...], reps: Iterable[int], gens: Sequence[int]
 ) -> set[int]:
     """The union of the right cosets K r reached from ``reps`` by right multiplying by ``gens``.
 
     ``base`` lists the members of a subgroup K. Each coset K r is read from
-    ``G.columns[r]`` with one ``itemgetter`` over K. A coset K r joins with
+    ``G.columns[r]`` with one getter over K. A coset K r joins with
     K (r s) for each s in ``gens``; since k r s lies in K (r s), the union is
     closed under right multiplication by ``gens``, and the walk takes one
     step per coset and generator, not per element and generator.
     """
-    coset = itemgetter(*base) if len(base) > 1 else lambda column: (column[base[0]],)
+    coset = _tuple_getter(base)
     columns, table = G.columns, G.table
     members: set[int] = set()
     queue = []
@@ -605,8 +614,7 @@ def quotient_group(G: GroupTable, H: SubgroupSet, N: SubgroupSet) -> Quotient:
 
 def compose_perms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation a applied after b, as an image array: x -> a[b[x]]."""
-    # itemgetter of a single index returns the item itself, not a 1-tuple.
-    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
+    return _tuple_getter(b)(a)
 
 
 def _composition_table(perms: Sequence[tuple[int, ...]], keys: Sequence[tuple[int, ...]]) -> GroupTable:
@@ -622,9 +630,7 @@ def _composition_table(perms: Sequence[tuple[int, ...]], keys: Sequence[tuple[in
         raise InvariantError("two permutations share a key")
     columns = []
     for key in keys:
-        # itemgetter of a single index returns the item itself, and of none fails.
-        read = itemgetter(*key) if len(key) > 1 else lambda a, key=key: tuple(a[x] for x in key)
-        columns.append(map(index.__getitem__, map(read, perms)))
+        columns.append(map(index.__getitem__, map(_tuple_getter(key), perms)))
     return GroupTable(tuple(zip(*columns)))
 
 

@@ -4,13 +4,19 @@ The default catalog mixes abelian and non-abelian groups, p-groups,
 complete groups and groups with outer automorphisms, at sizes where every
 computation is exhaustive. Scans are deterministic: entries in catalog
 order, subgroups in (size, members) order, checks in a fixed sequence.
+
+:func:`scan_records` yields the records as they leave the scan, one
+(suite, group) batch at a time, so memory is bounded by the largest batch;
+:func:`run_scan` keeps them all in its report. There is no per-record
+callback: :func:`scan_kv` and :func:`scan_human` render a report from any
+iterable of its records, the generator included.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import automorphisms as am
 from . import degree as deg
@@ -73,12 +79,11 @@ class CheckRecord:
 class ScanReport:
     """A scan's per-status counts, findings, warnings and vacuous kinds.
 
-    Each record goes to ``add``, which counts it and hands it on: to
-    ``records`` unless an ``on_record`` callback takes it instead.
+    ``run_scan`` keeps its records in ``records``; :func:`scan_records`
+    yields them instead and leaves ``records`` empty.
     """
 
-    def __init__(self, suite: str, max_order: int,
-                 on_record: Optional[Callable[[CheckRecord], None]] = None):
+    def __init__(self, suite: str, max_order: int):
         self.suite, self.max_order = suite, max_order
         self.records: list[CheckRecord] = []
         self.findings: list[str] = []
@@ -87,13 +92,6 @@ class ScanReport:
         self.counts: Counter[str] = Counter()
         # The equalities-suite record names with an applicable instance.
         self.applicable_equalities: set[str] = set()
-        self._take = self.records.append if on_record is None else on_record
-
-    def add(self, record: CheckRecord) -> None:
-        self.counts[record.status] += 1
-        if record.suite == "equalities" and record.status != "inapplicable":
-            self.applicable_equalities.add(record.name)
-        self._take(record)
 
     def count(self, status: str) -> int:
         return self.counts[status]
@@ -121,11 +119,16 @@ class _Scan:
         self.report = report
         self.aut_cap = aut_cap
         self.quotient_cap = quotient_cap
+        self.made: list[CheckRecord] = []  # the records not yet yielded
 
     def add(self, suite: str, group: str, sub: str, name: str, status: str,
             value=None, bound=None, detail: str = "") -> CheckRecord:
+        """A new record, counted into the report and kept in ``made``."""
         record = CheckRecord(suite, group, sub, name, status, value, bound, detail)
-        self.report.add(record)
+        self.report.counts[status] += 1
+        if suite == "equalities" and status != "inapplicable":
+            self.report.applicable_equalities.add(name)
+        self.made.append(record)
         return record
 
     def add_check(self, suite: str, group: str, sub: str, check: BoundCheck,
@@ -263,10 +266,11 @@ class _Scan:
                      "pass" if rep.consistent else "fail",
                      detail=describe_equivalence(rep))
 
-    def isoclinism(self, entries: list[tuple[CatalogEntry, object, SubgroupSet]]) -> None:
+    def isoclinism(self, prepared) -> None:
         pairs = []
-        for entry, A, whole in entries:
-            pair = make_pair(entry.group, whole, auts=A)
+        for entry, A, subs, _ in prepared:
+            # subs is sorted by order, so its last member is the whole group.
+            pair = make_pair(entry.group, subs[-1], auts=A)
             refusal = cap_refusal(pair, self.aut_cap, self.quotient_cap)
             if refusal is not None:
                 self.report.warnings.append(
@@ -300,26 +304,25 @@ class _Scan:
                                "pair_equal_degree", "pass" if c.holds else "fail")
 
 
-def run_scan(
-    suite: str = "all",
-    max_order: int = 12,
+def scan_records(
+    report: ScanReport,
     aut_cap: int = AUT_CAP,
     quotient_cap: int = QUOTIENT_CAP,
     catalog: Optional[tuple[CatalogEntry, ...]] = None,
     group_cap: int = ORDER_CAP,
-    on_record: Optional[Callable[[CheckRecord], None]] = None,
-) -> ScanReport:
-    """Run the selected suite over every catalog (G, H) with |G| <= max_order.
+) -> Iterator[CheckRecord]:
+    """The records of ``report``'s suite over every catalog (G, H) with |G| <= its max order.
 
-    The report holds every record in ``records``. With ``on_record``, each
-    record is passed to it as soon as it is made and none is kept, so memory
-    does not grow with the record count; the counts, findings, warnings and
-    vacuous kinds are kept either way.
+    Records leave one (suite, group) batch at a time, each as soon as its
+    suite call for that group returns (the isoclinism suite is one call over
+    every group), so memory is bounded by the largest batch, not the record
+    count. Each is counted into ``report`` and none is kept there; its
+    warnings and findings grow as the scan runs, and its vacuous kinds are
+    filled once the last record is out.
     """
+    suite, max_order = report.suite, report.max_order
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    selected = SUITES if suite == "all" else (suite,)
-    report = ScanReport(suite, max_order, on_record)
     scan = _Scan(report, aut_cap, quotient_cap)
     entries = [
         e for e in (catalog if catalog is not None else default_catalog())
@@ -337,14 +340,12 @@ def run_scan(
         for h in subs:
             A.action_on(h)
         prepared.append((entry, A, subs, [_subgroup_label(h) for h in subs]))
-    for name in selected:
-        if name == "isoclinism":
-            # subs is sorted by order, so its last member is the whole group.
-            scan.isoclinism([(entry, A, subs[-1]) for entry, A, subs, _ in prepared])
-            continue
-        runner: Callable = getattr(scan, name)
-        for entry, A, subs, labels in prepared:
-            runner(entry, A, subs, labels)
+    for name in SUITES if suite == "all" else (suite,):
+        # The isoclinism suite is one call over every group, the others one call per group.
+        for args in [(prepared,)] if name == "isoclinism" else prepared:
+            getattr(scan, name)(*args)
+            yield from scan.made
+            scan.made.clear()
     if suite in ("equalities", "all"):
         for kind, name in (("converse", "converse_degree"), ("equality_pq", "equality_pq"),
                            ("equality_pq2", "equality_pq2")):
@@ -353,31 +354,39 @@ def run_scan(
                     f"{kind}: no applicable instance with |G| <= {max_order} "
                     f"(vacuously true)"
                 )
+
+
+def run_scan(
+    suite: str = "all",
+    max_order: int = 12,
+    aut_cap: int = AUT_CAP,
+    quotient_cap: int = QUOTIENT_CAP,
+    catalog: Optional[tuple[CatalogEntry, ...]] = None,
+    group_cap: int = ORDER_CAP,
+) -> ScanReport:
+    """Run the selected suite over every catalog (G, H) with |G| <= max_order.
+
+    The report keeps every record in ``records``; :func:`scan_records` makes
+    the same records one batch at a time and keeps none.
+    """
+    report = ScanReport(suite, max_order)
+    report.records.extend(scan_records(report, aut_cap, quotient_cap, catalog, group_cap))
     return report
 
 
-# A scan's text in each output format: the lines before the records (from the
-# suite and the maximum order), each record's lines (from its index and the
-# record), and the lines after them (from the finished report). The CLI
-# writes them while the scan runs; render_scan_kv and render_scan_human
-# render a finished report.
-
-def _human_head(suite: str, max_order: int) -> list[str]:
-    return [f"suite: {suite}", f"max order: {max_order}"]
-
-
-def _human_record(i: int, r: CheckRecord) -> list[str]:
-    bits = [f"[{r.status}]", r.group, r.subgroup, r.name]
-    if r.value_text is not None:
-        bits.append(f"value={r.value_text}")
-    if r.bound_text is not None:
-        bits.append(f"bound={r.bound_text}")
-    if r.detail:
-        bits.append(f"({r.detail})")
-    return [" ".join(bits)]
-
-
-def _human_tail(report: ScanReport) -> Iterator[str]:
+def scan_human(report: ScanReport, records: Iterable[CheckRecord]) -> Iterator[str]:
+    """``report`` with ``records`` as text, one line at a time; its tail is read after the last record."""
+    yield f"suite: {report.suite}"
+    yield f"max order: {report.max_order}"
+    for r in records:
+        bits = [f"[{r.status}]", r.group, r.subgroup, r.name]
+        if r.value_text is not None:
+            bits.append(f"value={r.value_text}")
+        if r.bound_text is not None:
+            bits.append(f"bound={r.bound_text}")
+        if r.detail:
+            bits.append(f"({r.detail})")
+        yield " ".join(bits)
     for w in report.warnings:
         yield f"warning: {w}"
     for f in report.findings:
@@ -390,32 +399,30 @@ def _human_tail(report: ScanReport) -> Iterator[str]:
     )
 
 
-def _kv_head(suite: str, max_order: int) -> list[str]:
-    return [kv_line("scan.suite", suite), kv_line("scan.max_order", max_order)]
+def scan_kv(report: ScanReport, records: Iterable[CheckRecord]) -> Iterator[str]:
+    """``report`` with ``records`` as kv lines, one at a time; its tail is read after the last record.
 
-
-def _kv_record(i: int, r: CheckRecord) -> list[str]:
-    """The record's kv lines.
-
-    Its text fields are checked for a newline once, together; a hit raises
-    the :func:`kv_line` error of the first field that holds one.
+    Each record's text fields are checked for a newline once, together; a
+    hit raises the :func:`kv_line` error of the first field that holds one.
     """
-    p = f"record.{i}"
-    if "\n" in f"{r.suite}{r.group}{r.subgroup}{r.name}{r.status}{r.detail}":
-        for field in ("suite", "group", "subgroup", "name", "status", "detail"):
-            kv_line(f"{p}.{field}", getattr(r, field))
-    lines = [f"{p}.suite={r.suite}", f"{p}.group={r.group}", f"{p}.subgroup={r.subgroup}",
-             f"{p}.name={r.name}", f"{p}.status={r.status}"]
-    if r.value_text is not None:
-        lines.append(f"{p}.value={r.value_text}")
-    if r.bound_text is not None:
-        lines.append(f"{p}.bound={r.bound_text}")
-    if r.detail:
-        lines.append(f"{p}.detail={r.detail}")
-    return lines
-
-
-def _kv_tail(report: ScanReport) -> Iterator[str]:
+    yield kv_line("scan.suite", report.suite)
+    yield kv_line("scan.max_order", report.max_order)
+    for i, r in enumerate(records):
+        p = f"record.{i}"
+        if "\n" in f"{r.suite}{r.group}{r.subgroup}{r.name}{r.status}{r.detail}":
+            for field in ("suite", "group", "subgroup", "name", "status", "detail"):
+                kv_line(f"{p}.{field}", getattr(r, field))
+        yield f"{p}.suite={r.suite}"
+        yield f"{p}.group={r.group}"
+        yield f"{p}.subgroup={r.subgroup}"
+        yield f"{p}.name={r.name}"
+        yield f"{p}.status={r.status}"
+        if r.value_text is not None:
+            yield f"{p}.value={r.value_text}"
+        if r.bound_text is not None:
+            yield f"{p}.bound={r.bound_text}"
+        if r.detail:
+            yield f"{p}.detail={r.detail}"
     for i, w in enumerate(report.warnings):
         yield kv_line(f"warning.{i}", w)
     for i, f in enumerate(report.findings):
@@ -426,24 +433,11 @@ def _kv_tail(report: ScanReport) -> Iterator[str]:
         yield kv_line(f"summary.{key}", value)
 
 
-# format -> (head, record, tail)
-SCAN_FORMATS = {"human": (_human_head, _human_record, _human_tail),
-                "kv": (_kv_head, _kv_record, _kv_tail)}
-
-
-def _render(report: ScanReport, fmt: str) -> Iterator[str]:
-    head, record, tail = SCAN_FORMATS[fmt]
-    yield from head(report.suite, report.max_order)
-    for i, r in enumerate(report.records):
-        yield from record(i, r)
-    yield from tail(report)
-
-
 def render_scan_human(report: ScanReport) -> Iterator[str]:
-    """The report as text, one line at a time."""
-    return _render(report, "human")
+    """The finished report as text, one line at a time."""
+    return scan_human(report, report.records)
 
 
 def render_scan_kv(report: ScanReport) -> Iterator[str]:
-    """The report as kv lines, one at a time."""
-    return _render(report, "kv")
+    """The finished report as kv lines, one at a time."""
+    return scan_kv(report, report.records)

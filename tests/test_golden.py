@@ -138,10 +138,15 @@ def test_output_is_written_in_bounded_chunks(monkeypatch, argv):
     assert max(map(len, out.writes)) <= cli.CHUNK_CHARS + max(map(len, lines))
 
 
-def test_verify_writes_records_while_the_scan_runs(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--max-order", "24", "--format", "kv"],
+    ["verify", "--suite", "all", "--max-order", "24"],
+], ids=lambda argv: case_id({"argv": argv}))
+def test_verify_writes_records_while_the_scan_runs(monkeypatch, argv):
     """By the time the isoclinism suite starts, the earlier suites' records are written and freed.
 
-    The scan has made 4,458 records by then; fewer than 1,000 may still be alive.
+    The scan has made 4,458 records by then; fewer than 1,000 may still be
+    alive. Each output format renders the stream by its own line generator.
     """
     out = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", out)
@@ -161,7 +166,6 @@ def test_verify_writes_records_while_the_scan_runs(monkeypatch):
         return isoclinism(self, *args)
 
     monkeypatch.setattr(_Scan, "isoclinism", noted)
-    argv = ["verify", "--suite", "all", "--max-order", "24", "--format", "kv"]
     code = cli.main(argv)
     case = golden_case(argv)
     assert code == case["exit"]

@@ -1,13 +1,17 @@
-"""A scan report's counts against a recount of its records.
+"""A scan report's counts against a recount of its records, and the record stream.
 
-``ScanReport`` counts each record as it is added and keeps the names behind
-the vacuous kinds, so a scan whose records are written as they are made
-(``verify``) still has its summary, failures and vacuous kinds. Here the
-library scan keeps every record, and each count must equal the one
-recounted from them: on the default catalog, and past the CLI's order cap
-on the six groups of ``tests/golden/digests.json``'s ``scans``.
+The scan counts each record into its ``ScanReport`` as it is made and keeps
+the names behind the vacuous kinds, so a scan whose records are rendered as
+they leave it (``verify``, through ``scan_records``) still has its summary,
+failures and vacuous kinds. Here the library scan keeps every record, and
+each count must equal the one recounted from them: on the default catalog,
+and past the CLI's order cap on the six groups of
+``tests/golden/digests.json``'s ``scans``. The stream must render to the
+same bytes as the kept report, keep no record in its report, and fill the
+vacuous kinds only once its last record is out.
 """
 
+import functools
 import json
 from collections import Counter
 from pathlib import Path
@@ -15,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from autodegree import CatalogEntry, catalog_build, run_scan
-from autodegree.scan import SUITES
+from autodegree.scan import SUITES, ScanReport, render_scan_kv, scan_kv, scan_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 PAST_THE_CAP = tuple(
@@ -25,6 +29,12 @@ PAST_THE_CAP = tuple(
 # (vacuous kind, the equalities-suite record name whose applicable instance rules it out)
 VACUOUS_KINDS = (("converse", "converse_degree"), ("equality_pq", "equality_pq"),
                  ("equality_pq2", "equality_pq2"))
+
+
+@functools.lru_cache(maxsize=None)
+def default_scan(suite):
+    """``run_scan(suite, max_order=24)``, made once per suite; no test changes it."""
+    return run_scan(suite, max_order=24)
 
 
 def recount(report):
@@ -43,7 +53,7 @@ def recount(report):
 @pytest.mark.parametrize("catalog", ["default", "past the cap"])
 def test_counts_agree_with_a_recount_of_the_records(catalog, suite):
     if catalog == "default":
-        report = run_scan(suite, max_order=24)
+        report = default_scan(suite)
     else:
         entries = tuple(CatalogEntry(name, catalog_build(name)) for name in PAST_THE_CAP)
         report = run_scan(suite, max_order=48, catalog=entries, group_cap=48)
@@ -60,3 +70,22 @@ def test_counts_agree_with_a_recount_of_the_records(catalog, suite):
         "inapplicable": statuses["inapplicable"], "vacuous": len(vacuous),
         "findings": len(report.findings),
     }
+
+
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+def test_the_record_stream_renders_as_the_kept_report(suite):
+    report = ScanReport(suite, 24)
+    vacuous_while_streaming = []
+
+    def watched():
+        for record in scan_records(report):
+            vacuous_while_streaming.append(list(report.vacuous))
+            yield record
+
+    streamed = "\n".join(scan_kv(report, watched())) + "\n"
+    kept = default_scan(suite)
+    assert streamed == "\n".join(render_scan_kv(kept)) + "\n"
+    assert report.records == []
+    assert vacuous_while_streaming and all(v == [] for v in vacuous_while_streaming)
+    assert report.vacuous == kept.vacuous
+    assert (suite in ("equalities", "all")) == bool(kept.vacuous)
