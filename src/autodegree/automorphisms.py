@@ -104,11 +104,7 @@ class AutGroup(_Frozen):
     """
 
     def __init__(self, parent: GroupTable, members: tuple[Automorphism, ...]):
-        vars(self).update(parent=parent, members=members)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+        vars(self).update(parent=parent, members=members, size=len(members))
 
     @cached_property
     def orbit_of(self) -> tuple[tuple[int, ...], ...]:
@@ -292,20 +288,32 @@ def coset_pairing(
 ) -> tuple[tuple[int, ...], ...]:
     """``rows[c][a]`` = [x, alpha] = x^-1 alpha(x) for x in ``cosets[c]``, alpha = ``auts[a]``.
 
-    Every representative of every coset is read, and two that disagree raise
-    :class:`InvariantError`; an automorphism of a group other than G raises
-    :class:`ParentMismatchError` before any value is read.
+    Each row is read from the coset's first representative, and every other
+    representative is compared with it, automorphism by automorphism. Two
+    that disagree raise :class:`InvariantError`, naming the coset, the first
+    automorphism in ``auts`` at which its representatives disagree and the
+    sorted values they take there. An automorphism of a group other than G
+    raises :class:`ParentMismatchError` before any value is read.
     """
     if any(alpha.parent != G for alpha in auts):
         raise ParentMismatchError("automorphism belongs to a different group")
     t, invs = G.table, G.inverses
-    rows = [[{t[invs[x]][a.image[x]] for x in coset} for a in auts] for coset in cosets]
-    for coset, row in zip(cosets, rows):
-        for alpha, values in zip(auts, row):
-            if len(values) != 1:
-                raise InvariantError(f"coset {coset} maps to {sorted(values)} "
-                                     f"under {alpha.cycle_notation()}")
-    return tuple(tuple(value for (value,) in row) for row in rows)
+    images = [a.image for a in auts]
+    rows = []
+    for coset in cosets:
+        first, *others = coset
+        inverse_row = t[invs[first]]
+        row = [inverse_row[img[first]] for img in images]
+        for x in others:
+            inverse_row = t[invs[x]]
+            if [inverse_row[img[x]] for img in images] != row:
+                for alpha in auts:
+                    values = {t[invs[y]][alpha.image[y]] for y in coset}
+                    if len(values) != 1:
+                        raise InvariantError(f"coset {coset} maps to {sorted(values)} "
+                                             f"under {alpha.cycle_notation()}")
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class SubgroupAction(_Frozen):

@@ -19,7 +19,6 @@ is unmet, most often the nontrivial action H != L, |A| > 1 that the bounds assum
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -30,7 +29,6 @@ from .automorphisms import (
     autocentre,
     autocommutator_set,
     autocommutator_subgroup,
-    orbit,
     orbits_on_subgroup,
     trivial_stabilizer_set,
 )
@@ -42,6 +40,7 @@ from .groups import (
     PreconditionError,
     SubgroupSet,
     _Frozen,
+    _require_same_parent,
     find_isomorphism,
     permutation_table,
 )
@@ -67,8 +66,10 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
     members of A that fix it (``AutGroup.stabilizer_sizes``), and once by
     the automorphism, counting the points of H each fixes, summed over the
     distinct fixed-point sets F with their multiplicities m as
-    sum m |F & H| (``AutGroup.fixed_point_sets``).
+    sum m |F & H| (``AutGroup.fixed_point_sets``). H must be a subgroup of
+    A's group, or :class:`ParentMismatchError` is raised.
     """
+    _require_same_parent(A.parent, H)
     denom = H.size * A.size
     sizes, hset = A.stabilizer_sizes, H.member_set
     stab_total = sum(sizes[x] for x in H.members)
@@ -79,12 +80,15 @@ def pr_via_sums(H: SubgroupSet, A: AutGroup) -> tuple[Fraction, Fraction]:
 def pr_via_orbits(H: SubgroupSet, A: AutGroup) -> Fraction:
     """Average of 1/|orbit(x)| over H (orbit-stabilizer form), as one Fraction.
 
-    With c_l members of H on orbits of length l and M the lcm of those
-    lengths, the average is (sum of c_l M / l) / (M |H|).
+    With M the lcm of the orbit lengths l(x), the average is
+    (sum of M / l(x) over H) / (M |H|). H must be a subgroup of A's group,
+    or :class:`ParentMismatchError` is raised.
     """
-    counts = Counter(len(orbit(A, x)) for x in H.members)
-    m = lcm(*counts)
-    return Fraction(sum(c * (m // length) for length, c in counts.items()), m * H.size)
+    _require_same_parent(A.parent, H)
+    orbits = A.orbit_of
+    lengths = [len(orbits[x]) for x in H.members]
+    m = lcm(*set(lengths))
+    return Fraction(sum(m // length for length in lengths), m * H.size)
 
 
 def pr_commuting(H: SubgroupSet) -> Fraction:
@@ -171,7 +175,10 @@ class BoundCheck(_Frozen):
     """One evaluated inequality or equality claim about a degree.
 
     ``holds`` and ``is_equality`` are derived from ``value``, ``bound`` and
-    ``direction``, never stored; an unknown direction raises
+    ``direction``, never stored, by comparing the integers
+    value.numerator * bound.denominator and bound.numerator * value.denominator
+    (denominators are positive, so the order is that of the two values;
+    ints carry both attributes too). An unknown direction raises
     :class:`ValueError` at construction. ``holds`` is never enforced: a
     falsified claim whose hypothesis is met is a scan failure, not an
     exception. ``informational`` marks claims that are reported as
@@ -191,11 +198,13 @@ class BoundCheck(_Frozen):
 
     @property
     def holds(self) -> bool:
-        return _HOLDS[self.direction](self.value, self.bound)
+        v, b = self.value, self.bound
+        return _HOLDS[self.direction](v.numerator * b.denominator, b.numerator * v.denominator)
 
     @property
     def is_equality(self) -> bool:
-        return self.value == self.bound
+        v, b = self.value, self.bound
+        return v.numerator * b.denominator == b.numerator * v.denominator
 
 
 def _sharp(p: int, q: int, k: int) -> Fraction:
@@ -241,10 +250,11 @@ def check_monotonicity(H: SubgroupSet, K: SubgroupSet, A: AutGroup) -> BoundChec
     if not H.member_set <= K.member_set:
         raise PreconditionError("H must be contained in K")
     index = K.size // H.size
+    pr_k = pr_definition(K, A)
     return BoundCheck(
         "monotonicity",
         pr_definition(H, A),
-        index * pr_definition(K, A),
+        Fraction(index * pr_k.numerator, pr_k.denominator),
         "upper",
         condition_met=H.members == K.members,
     )
@@ -325,8 +335,9 @@ def bound_lower_S(H: SubgroupSet, A: AutGroup) -> BoundCheck:
     """
     core, _, _ = _standing_assumptions(H, A)
     sset = autocommutator_set(H, A)
+    orbits = A.orbit_of
     cond = all(
-        frozenset(orbit(A, x)) == _coset_times_set(H, x, sset)
+        frozenset(orbits[x]) == _coset_times_set(H, x, sset)
         for x in H.members
         if x not in core.member_set
     )
@@ -437,8 +448,8 @@ def converse_check(H: SubgroupSet, A: AutGroup) -> list[BoundCheck]:
     empty list when only the orbit-size hypothesis fails.
     """
     core, p, q = _standing_assumptions(H, A)
-    outside = [x for x in H.members if x not in core.member_set]
-    if any(len(orbit(A, x)) != p for x in outside):
+    orbits = A.orbit_of
+    if any(len(orbits[x]) != p for x in H.members if x not in core.member_set):
         return []
     pr = pr_definition(H, A)
     checks = [BoundCheck("converse_degree", pr, _family(p, H, core), "equal", p=p, q=q)]

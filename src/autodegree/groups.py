@@ -342,7 +342,7 @@ class SubgroupSet(_Frozen):
     """
 
     def __init__(self, parent: GroupTable, members: tuple[int, ...]):
-        vars(self).update(parent=parent, members=members)
+        vars(self).update(parent=parent, members=members, size=len(members))
         self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
@@ -366,10 +366,6 @@ class SubgroupSet(_Frozen):
         witness = closure_witness(0, ms, lambda a, b: t[a][b])
         if witness is not None:
             raise AxiomError(f"subgroup not closed under product at {witness}")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -406,7 +402,12 @@ def _tuple_getter(points: Sequence[int]) -> Callable[[Sequence[int]], tuple[int,
     It is an ``itemgetter`` when there are two points or more: of a single
     index that returns the item itself, not a 1-tuple, and of none it fails.
     """
-    return itemgetter(*points) if len(points) > 1 else lambda seq: tuple(seq[x] for x in points)
+    if len(points) > 1:
+        return itemgetter(*points)
+    if points:
+        p = points[0]
+        return lambda seq: (seq[p],)
+    return lambda seq: ()
 
 
 def _right_cosets(

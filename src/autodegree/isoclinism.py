@@ -12,7 +12,8 @@ once, and compares the degrees.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain, islice
+from typing import Iterator, Optional
 
 from . import automorphisms as am
 from .automorphisms import AutGroup, SubgroupAction
@@ -136,11 +137,13 @@ def find_autoisoclinism(
     Deterministic: gamma candidates (between the automorphism groups as
     abstract groups) and psi candidates (between the quotients) are
     enumerated in lexicographic generator-image order and the first triple
-    whose derived beta closes the diagram wins. A pair refused by
-    :func:`cap_refusal` raises :class:`SizeCapError`. The search is skipped
-    when the quotient, automorphism group or commutator sizes differ: psi,
-    gamma and beta are bijections between those groups, so no witness
-    exists when any of the three pairs of orders differs.
+    whose derived beta closes the diagram wins. The psi candidates are drawn
+    from their search as the first gamma tries them and kept for the later
+    gammas, so a witness found early does not pay to list every psi. A pair
+    refused by :func:`cap_refusal` raises :class:`SizeCapError`. The search
+    is skipped when the quotient, automorphism group or commutator sizes
+    differ: psi, gamma and beta are bijections between those groups, so no
+    witness exists when any of the three pairs of orders differs.
     """
     for P, which in ((P1, "first"), (P2, "second")):
         refusal = cap_refusal(P, aut_cap, quotient_cap)
@@ -152,11 +155,12 @@ def find_autoisoclinism(
         or P1.commutator_subgroup.size != P2.commutator_subgroup.size
     ):
         return None
-    psis = tuple(iter_isomorphisms(P1.quotient.group, P2.quotient.group))
+    source = iter_isomorphisms(P1.quotient.group, P2.quotient.group)
+    psis = list(islice(source, 1))
     if not psis:
         return None
     for gamma in iter_isomorphisms(P1.auts.abstract_group, P2.auts.abstract_group):
-        for psi in psis:
+        for psi in chain(psis, _kept(source, psis)):
             beta = _derive_beta(P1, P2, psi.image, gamma.image)
             if beta is not None:
                 return IsoclinismWitness(
@@ -165,6 +169,13 @@ def find_autoisoclinism(
                     beta=GroupHom(P1.commutator_group, P2.commutator_group, beta),
                 )
     return None
+
+
+def _kept(source: Iterator[GroupHom], kept: list[GroupHom]) -> Iterator[GroupHom]:
+    """The items of ``source``, each appended to ``kept`` as it is drawn."""
+    for item in source:
+        kept.append(item)
+        yield item
 
 
 def verify_witness(

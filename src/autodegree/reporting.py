@@ -101,9 +101,12 @@ def render_degree_human(report: DegreeReport, cycles: list[str]) -> list[str]:
     return lines
 
 
+_SYMBOLS = {"upper": "<=", "lower": ">=", "equal": "=="}
+
+
 def describe_check(check: BoundCheck, value: str, bound: str) -> str:
     """The detail of ``check``, whose value and bound are already formatted as ``value`` and ``bound``."""
-    sym = {"upper": "<=", "lower": ">=", "equal": "=="}[check.direction]
+    sym = _SYMBOLS[check.direction]
     met = check.condition_met
     return (
         f"{value} {sym} {bound}"

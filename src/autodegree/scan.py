@@ -6,7 +6,8 @@ computation is exhaustive. Scans are deterministic: entries in catalog
 order, subgroups in (size, members) order, checks in a fixed sequence.
 
 :func:`scan_records` yields the records as they leave the scan, one
-(suite, group) batch at a time, so memory is bounded by the largest batch;
+(suite, group) batch at a time, and the isoclinism suite's one pair check
+at a time, so memory is bounded by the largest batch;
 :func:`run_scan` keeps them all in its report. There is no per-record
 callback: :func:`scan_kv` and :func:`scan_human` render a report from any
 iterable of its records, the generator included.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from . import automorphisms as am
@@ -166,7 +168,7 @@ class _Scan:
                 "pass" if rep.formulas_agree() else "fail", pr, None,
                 f"def={pr} stab={rep.pr_stab_sum} fixed={rep.pr_fixed_sum} orbit={rep.pr_orbit}",
             )
-            integer_ok = (rep.pr_definition * h.size * A.size).denominator == 1
+            integer_ok = (h.size * A.size) % rep.pr_definition.denominator == 0
             self.add("formulas", entry.name, sub, "pair_count_integral",
                      "pass" if integer_ok else "fail", pr)
             one_iff = (rep.pr_definition == 1) == rep.h_equals_autocentre
@@ -266,7 +268,13 @@ class _Scan:
                      "pass" if rep.consistent else "fail",
                      detail=describe_equivalence(rep))
 
-    def isoclinism(self, prepared) -> None:
+    def isoclinism_calls(self, prepared) -> list[tuple[tuple, tuple]]:
+        """The isoclinism suite's calls, each an (entry, pair) twice or two of them.
+
+        Each group's whole pair first meets itself, in catalog order, then
+        each two pairs meet once, in catalog order. A pair that the
+        witness-search caps refuse is skipped with a warning.
+        """
         pairs = []
         for entry, A, subs, _ in prepared:
             # subs is sorted by order, so its last member is the whole group.
@@ -278,30 +286,31 @@ class _Scan:
                 )
                 continue
             pairs.append((entry, pair))
-        for entry, pair in pairs:
-            w, why, c = decide_autoisoclinism(pair, pair, self.aut_cap, self.quotient_cap)
+        return [(p, p) for p in pairs] + list(combinations(pairs, 2))
+
+    def isoclinism(self, first, second) -> None:
+        """The witness check of two (entry, pair)s; the reflexive one when they are the same."""
+        (e1, p1), (e2, p2) = first, second
+        w, why, c = decide_autoisoclinism(p1, p2, self.aut_cap, self.quotient_cap)
+        if first is second:
             if w is None:
-                self.add("isoclinism", entry.name, "whole", "reflexive_witness", "fail",
+                self.add("isoclinism", e1.name, "whole", "reflexive_witness", "fail",
                          detail="no witness found for the pair with itself")
-                continue
-            self.add("isoclinism", entry.name, "whole", "reflexive_witness",
+                return
+            self.add("isoclinism", e1.name, "whole", "reflexive_witness",
                      "fail" if c is None else "pass", detail=why or "witness verified")
             if c is not None:
-                self.add_check("isoclinism", entry.name, "whole", c)
-        for i, (e1, p1) in enumerate(pairs):
-            for e2, p2 in pairs[i + 1:]:
-                label = f"{e1.name}~{e2.name}"
-                w, why, c = decide_autoisoclinism(p1, p2, self.aut_cap, self.quotient_cap)
-                if w is None:
-                    self.add("isoclinism", label, "whole", "pair_witness",
-                             "inapplicable", detail="no witness")
-                    continue
-                if c is None:
-                    self.add("isoclinism", label, "whole", "pair_witness", "fail",
-                             detail=why)
-                    continue
-                self.add_check("isoclinism", label, "whole", c,
-                               "pair_equal_degree", "pass" if c.holds else "fail")
+                self.add_check("isoclinism", e1.name, "whole", c)
+            return
+        label = f"{e1.name}~{e2.name}"
+        if w is None:
+            self.add("isoclinism", label, "whole", "pair_witness", "inapplicable",
+                     detail="no witness")
+        elif c is None:
+            self.add("isoclinism", label, "whole", "pair_witness", "fail", detail=why)
+        else:
+            self.add_check("isoclinism", label, "whole", c,
+                           "pair_equal_degree", "pass" if c.holds else "fail")
 
 
 def scan_records(
@@ -314,11 +323,11 @@ def scan_records(
     """The records of ``report``'s suite over every catalog (G, H) with |G| <= its max order.
 
     Records leave one (suite, group) batch at a time, each as soon as its
-    suite call for that group returns (the isoclinism suite is one call over
-    every group), so memory is bounded by the largest batch, not the record
-    count. Each is counted into ``report`` and none is kept there; its
-    warnings and findings grow as the scan runs, and its vacuous kinds are
-    filled once the last record is out.
+    suite call for that group returns (the isoclinism suite makes one call
+    per reflexive pair and one per two pairs), so memory is bounded by the
+    largest batch, not the record count. Each is counted into ``report``
+    and none is kept there; its warnings and findings grow as the scan
+    runs, and its vacuous kinds are filled once the last record is out.
     """
     suite, max_order = report.suite, report.max_order
     if suite != "all" and suite not in SUITES:
@@ -341,8 +350,8 @@ def scan_records(
             A.action_on(h)
         prepared.append((entry, A, subs, [_subgroup_label(h) for h in subs]))
     for name in SUITES if suite == "all" else (suite,):
-        # The isoclinism suite is one call over every group, the others one call per group.
-        for args in [(prepared,)] if name == "isoclinism" else prepared:
+        # The other suites make one call per group.
+        for args in scan.isoclinism_calls(prepared) if name == "isoclinism" else prepared:
             getattr(scan, name)(*args)
             yield from scan.made
             scan.made.clear()

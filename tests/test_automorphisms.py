@@ -271,6 +271,11 @@ class TestAutocommutator:
         g, a = aut_of("C(4)")
         with pytest.raises(InvariantError, match=r"coset \(0, 1\) maps to \[0, 2\] under \(1 3\)"):
             coset_pairing(g, ((0, 2), (0, 1)), a.members)
+        # (2 3) disagrees only at the last representative and (1 2) already at
+        # the second, so reading representative by representative would name (1 2).
+        g, a = aut_of("C(2)×C(2)")
+        with pytest.raises(InvariantError, match=r"coset \(0, 1, 2\) maps to \[0, 1\] under \(2 3\)$"):
+            coset_pairing(g, ((0, 1, 2),), a.members)
 
     def test_fixed_subgroup_refuses_a_foreign_automorphism(self):
         # Every index of C(4) is in range for an automorphism of C(8), so

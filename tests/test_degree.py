@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from autodegree.automorphisms import autocentre, compute_aut, compute_inn
@@ -31,6 +33,7 @@ from autodegree.degree import (
     smallest_prime_divisor,
 )
 from autodegree.groups import (
+    ParentMismatchError,
     PreconditionError,
     enumerate_subgroups,
     subgroup_closure,
@@ -122,6 +125,15 @@ class TestFormulas:
         assert rep.size_trivial_stabilizer == 0
 
 
+# Unchecked, whole C(2)×C(2) against Aut(C(4)) read 3/4 from both routes, and
+# whole C(4) against Aut(C(8)) 1/2: every member index is in range of the other group.
+@pytest.mark.parametrize("route", [pr_via_sums, pr_via_orbits])
+@pytest.mark.parametrize("name, other", [("C(2)×C(2)", "C(4)"), ("C(4)", "C(8)")])
+def test_degree_route_refuses_a_subgroup_of_another_group(route, name, other):
+    with pytest.raises(ParentMismatchError):
+        route(whole_subgroup(catalog_build(name)), compute_aut(catalog_build(other)))
+
+
 def test_factor_order_leaves_aut_and_the_degrees_unchanged():
     # C(2)×C(4) and C(4)×C(2) are one group with its elements numbered differently.
     def profile(name):
@@ -187,6 +199,17 @@ class TestBoundCheck:
         with pytest.raises(ValueError):
             BoundCheck("c", Fraction(1, 2), Fraction(1, 2), "both")
 
+    # Small denominators, so equal values are drawn often.
+    values = st.one_of(st.fractions(min_value=0, max_denominator=12), st.integers(0, 4))
+
+    @given(values, values)
+    def test_integer_decision_matches_fraction_comparison(self, value, bound):
+        compare = {"upper": value <= bound, "lower": value >= bound, "equal": value == bound}
+        for direction, holds in compare.items():
+            check = BoundCheck("c", value, bound, direction)
+            assert check.holds == holds
+            assert check.is_equality == (value == bound)
+
 
 class TestMonotonicity:
     def test_equal_subgroups(self):
@@ -215,6 +238,19 @@ class TestMonotonicity:
         h2 = subgroup_closure(g, {2})
         with pytest.raises(PreconditionError):
             check_monotonicity(h1, h2, a)
+
+    def test_bound_is_the_index_times_the_larger_degree(self):
+        g = catalog_build("D(4)×S(3)")
+        a = compute_aut(g, cap=48)
+        subs = enumerate_subgroups(g, cap=48)
+        nested = 0
+        for i, h in enumerate(subs):
+            for k in subs[i:]:
+                if h.member_set <= k.member_set:
+                    c = check_monotonicity(h, k, a)
+                    assert c.bound == (k.size // h.size) * pr_definition(k, a)
+                    nested += 1
+        assert nested > len(subs)
 
     def test_equality_characterization_over_catalog(self):
         for name in ["C(8)", "S(3)", "Q8", "D(4)"]:

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from autodegree import CatalogEntry, catalog_build, cli, run_scan
-from autodegree.scan import CheckRecord, _Scan, render_scan_kv
+from autodegree.scan import CheckRecord, ScanReport, _Scan, render_scan_kv, scan_records
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "digests.json").read_text(encoding="utf-8"))
@@ -170,9 +170,29 @@ def test_verify_writes_records_while_the_scan_runs(monkeypatch, argv):
     case = golden_case(argv)
     assert code == case["exit"]
     assert hashlib.sha256("".join(out.writes).encode("utf-8")).hexdigest() == case["sha256"]
-    [(chunks, records)] = at_isoclinism
+    # The suite's first call; it makes one per reflexive pair and one per two pairs.
+    chunks, records = at_isoclinism[0]
     assert chunks >= 1
     assert records < 1000
+
+
+def test_isoclinism_records_leave_the_scan_one_pair_at_a_time(monkeypatch):
+    """Each isoclinism check's records are yielded, and freed, before the next check runs.
+
+    At max order 24 the suite makes 495 records: a pair with itself makes
+    at most two, two pairs one. None is kept but the one being read.
+    """
+    alive = weakref.WeakSet()
+    make_record = CheckRecord.__init__
+
+    def tracked(self, *args, **kwargs):
+        make_record(self, *args, **kwargs)
+        alive.add(self)
+
+    monkeypatch.setattr(CheckRecord, "__init__", tracked)
+    counts = [len(alive) for _ in scan_records(ScanReport("isoclinism", 24))]
+    assert len(counts) == 495
+    assert max(counts) <= 2
 
 
 # Run in a fresh interpreter, the CLI reports its own peak resident set on

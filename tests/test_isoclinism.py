@@ -152,6 +152,23 @@ class TestWitnessSearch:
         ok, why = verify_witness(p, p, w)
         assert ok, why
 
+    def test_psi_candidates_are_drawn_as_they_are_tried(self, monkeypatch):
+        # The quotient of C(3)×C(3) by its trivial autocentre has 48 automorphisms;
+        # the first psi already closes the diagram with the first gamma.
+        p = pair_of("C(3)×C(3)")
+        drawn = []
+
+        def counted(G1, G2):
+            for hom in iter_isomorphisms(G1, G2):
+                if G1 is p.quotient.group:
+                    drawn.append(hom)
+                yield hom
+
+        monkeypatch.setattr(isoclinism, "iter_isomorphisms", counted)
+        assert find_autoisoclinism(p, p) is not None
+        assert len(drawn) == 1
+        assert sum(1 for _ in iter_isomorphisms(p.quotient.group, p.quotient.group)) == 48
+
     def test_identity_triple_verifies(self):
         p = pair_of("C(4)")
         ident = IsoclinismWitness(
