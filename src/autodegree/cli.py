@@ -5,9 +5,10 @@ unequal-degree witness, 2 usage or input error, or a reader that closed
 stdout early, 3 a size cap was exceeded. Identical invocations produce
 byte-identical output.
 
-Output is written while it is produced, by one ``_emit``, in chunks of about
-``CHUNK_CHARS`` characters, so ``verify`` and ``compute`` never hold their
-whole output: ``compute --subgroup all`` prints |subgroups| × |Aut|
+Output is written while it is produced, by one ``_emit``, in the whole-line
+pieces of about ``CHUNK_CHARS`` characters that ``reporting.chunks`` makes
+(as a finished scan report renders), so ``verify`` and ``compute`` never hold
+their whole output: ``compute --subgroup all`` prints |subgroups| × |Aut|
 automorphism lines, and ``verify`` renders the scan's records as they leave
 it, one (suite, group) batch at a time, keeping only the counts, findings,
 warnings and vacuous kinds, so its memory is bounded by the largest batch,
@@ -34,31 +35,14 @@ from . import degree as deg
 from .catalog import catalog_build, catalog_order
 from .groups import GroupError, GroupTable, SizeCapError, SubgroupSet, _ascii_int, enumerate_subgroups, parse_group_table, refuse_over_cap, subgroup_closure, table_order, whole_subgroup
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, decide_autoisoclinism, make_pair
-from .reporting import format_members, kv_line, render_degree_human, render_degree_kv
+from .reporting import CHUNK_CHARS, chunks, format_members, kv_line, render_degree_human, render_degree_kv
 from .scan import DEFAULT_CATALOG_NAMES, SUITES, ScanReport, scan_human, scan_kv, scan_records
-
-# One write per chunk keeps the cost per line off the system call even when
-# stdout is unbuffered (PYTHONUNBUFFERED).
-CHUNK_CHARS = 64 * 1024
 
 
 def _emit(lines: Iterable[str]) -> None:
-    """Write each line and a newline to ``sys.stdout`` in chunks of about ``CHUNK_CHARS``.
-
-    A chunk is written once it reaches ``CHUNK_CHARS``, so none is longer
-    than that plus its last line.
-    """
-    out = sys.stdout
-    chunk: list[str] = []
-    size = 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line) + 1
-        if size >= CHUNK_CHARS:
-            out.write("\n".join(chunk) + "\n")
-            chunk, size = [], 0
-    if chunk:
-        out.write("\n".join(chunk) + "\n")
+    """Write each :func:`~autodegree.reporting.chunks` piece of ``lines`` and a newline to stdout."""
+    for piece in chunks(lines):
+        sys.stdout.write(piece + "\n")
 
 
 def load_group(spec: str) -> GroupTable:

@@ -149,13 +149,19 @@ class GroupTable(_Frozen):
         <K, g>, K being the subgroup generated so far; the trivial group yields
         the empty tuple. All of K g K give that same closure, so the first
         maximum is the least element of its double coset: the maximum is
-        taken over :func:`_cyclic_extensions`, one closure per double coset.
+        taken over :func:`_cyclic_extensions`, one closure per double coset,
+        up to the first closure that is the whole group.
         """
         gens: tuple[int, ...] = ()
         members: tuple[int, ...] = (0,)
         while len(members) < self.order:
-            g, members = max(_cyclic_extensions(self, members, gens), key=lambda c: len(c[1]))
-            gens += (g,)
+            best = gens, members
+            for g, closure in _cyclic_extensions(self, members, gens):
+                if len(closure) > len(best[1]):
+                    best = gens + (g,), closure
+                    if len(closure) == self.order:
+                        break
+            gens, members = best
         return gens
 
     def label(self) -> str:

@@ -6,12 +6,14 @@ exact rationals are written as Fraction strings ("3/4", "1"), which
 ``fractions.Fraction`` parses back without loss. Lines end at "\\n" alone,
 which no value may contain, and nothing is stripped, so a value keeps any
 other line-break character and its edge whitespace. Keys with no value are
-omitted.
+omitted. :func:`chunks` joins lines into the whole-line pieces that the CLI
+writes and that a finished scan report renders as.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .degree import BoundCheck, DegreeReport, EqualityReport, EquivalenceReport
 
@@ -46,6 +48,23 @@ def parse_kv(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key] = value
     return out
+
+
+CHUNK_CHARS = 64 * 1024  # one write per piece keeps the cost per line off the system call
+
+
+def chunks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined by "\\n" into pieces, each ended once it and a newline per
+    line reach ``CHUNK_CHARS``, so none is longer than that plus its last line."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= CHUNK_CHARS:
+            yield "\n".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "\n".join(chunk)
 
 
 def render_degree_kv(report: DegreeReport, prefix: str = "report") -> list[str]:

@@ -9,8 +9,9 @@ order, subgroups in (size, members) order, checks in a fixed sequence.
 (suite, group) batch at a time, and the isoclinism suite's one pair check
 at a time, so memory is bounded by the largest batch;
 :func:`run_scan` keeps them all in its report. There is no per-record
-callback: :func:`scan_kv` and :func:`scan_human` render a report from any
-iterable of its records, the generator included.
+callback: :func:`scan_kv` and :func:`scan_human` render a report line by
+line from any iterable of its records, the generator included; a finished
+report renders as the CLI chunker's whole-line pieces (:func:`render_scan_kv`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .catalog import catalog_build
 from .degree import BoundCheck, HypothesisError
 from .groups import ORDER_CAP, GroupTable, SizeCapError, SubgroupSet, _Frozen, enumerate_subgroups
 from .isoclinism import AUT_CAP, QUOTIENT_CAP, cap_refusal, decide_autoisoclinism, make_pair
-from .reporting import (describe_check, describe_equality, describe_equivalence, format_members,
-                        kv_line)
+from .reporting import (chunks, describe_check, describe_equality, describe_equivalence,
+                        format_members, kv_line)
 
 DEFAULT_CATALOG_NAMES: tuple[str, ...] = tuple(
     [f"C({n})" for n in range(1, 17)]
@@ -443,10 +444,10 @@ def scan_kv(report: ScanReport, records: Iterable[CheckRecord]) -> Iterator[str]
 
 
 def render_scan_human(report: ScanReport) -> Iterator[str]:
-    """The finished report as text, one line at a time."""
-    return scan_human(report, report.records)
+    """The finished report as text, in whole-line :func:`chunks` pieces; :func:`scan_human` gives lines."""
+    return chunks(scan_human(report, report.records))
 
 
 def render_scan_kv(report: ScanReport) -> Iterator[str]:
-    """The finished report as kv lines, one at a time."""
-    return scan_kv(report, report.records)
+    """The finished report as kv text, in whole-line :func:`chunks` pieces; :func:`scan_kv` gives lines."""
+    return chunks(scan_kv(report, report.records))

@@ -12,7 +12,7 @@ from autodegree.catalog import catalog_build
 from autodegree.cli import main
 from autodegree.degree import BoundCheck
 from autodegree.groups import GroupTable
-from autodegree.reporting import kv_line, parse_kv
+from autodegree.reporting import CHUNK_CHARS, chunks, kv_line, parse_kv
 from autodegree.scan import CatalogEntry, render_scan_kv, run_scan
 
 
@@ -193,6 +193,46 @@ class TestVerify:
         assert values
         for v in values:
             Fraction(v)  # every rational parses back exactly
+
+
+# Line lengths around the cut, and lines of one repeated character that may take two bytes.
+LINES = st.lists(
+    st.builds(str.__mul__, st.sampled_from("a=×"), st.one_of(
+        st.integers(0, 80),
+        st.integers(CHUNK_CHARS - 3, CHUNK_CHARS + 3),
+        st.integers(0, 2 * CHUNK_CHARS),
+    )),
+    max_size=20,
+)
+
+
+class TestChunks:
+    """reporting.chunks joins whole lines into the pieces the CLI writes."""
+
+    @given(LINES)
+    def test_pieces_are_whole_lines_cut_at_the_chunk_size(self, lines):
+        pieces = list(chunks(lines))
+        assert "\n".join(pieces) == "\n".join(lines)
+        start = 0
+        for i, piece in enumerate(pieces):
+            group = lines[start:start + piece.count("\n") + 1]
+            start += len(group)
+            assert piece == "\n".join(group)  # the piece ends at a line boundary
+            size = len(piece) + 1  # as written, with its newline
+            if i < len(pieces) - 1:
+                assert size >= CHUNK_CHARS
+            assert size - len(group[-1]) - 1 < CHUNK_CHARS  # it reached the size only at its last line
+        assert start == len(lines)
+
+    def test_a_long_line_ends_its_piece(self):
+        long = "x" * (CHUNK_CHARS + 1)
+        assert list(chunks([long])) == [long]
+        assert list(chunks([long, long, "a"])) == [long, long, "a"]
+        assert list(chunks(["a", long, "b"])) == ["a\n" + long, "b"]
+
+    def test_no_lines_make_no_piece(self):
+        assert list(chunks([])) == []
+        assert list(chunks([""])) == [""]
 
 
 class TestKvRoundTrip:

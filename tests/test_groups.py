@@ -726,6 +726,19 @@ class TestGeneratingSet:
         aut.generators
         assert calls[0] < 478  # one closure per element outside the span makes 956
 
+    def test_a_step_ends_at_the_first_whole_group_closure(self, monkeypatch):
+        g = cyclic(12)
+        calls = [0]
+        close = groups._closure_members
+
+        def counting(*args):
+            calls[0] += 1
+            return close(*args)
+
+        monkeypatch.setattr(groups, "_closure_members", counting)
+        assert g.generators == (1,)
+        assert calls[0] == 1  # one closure per double coset of the trivial group makes 11
+
 
 def count_closures(monkeypatch) -> list[int]:
     """Count every close_partial_map call, the package's and the DFS oracle's."""

@@ -8,18 +8,21 @@ each count must equal the one recounted from them: on the default catalog,
 and past the CLI's order cap on the six groups of
 ``tests/golden/digests.json``'s ``scans``. The stream must render to the
 same bytes as the kept report, keep no record in its report, and fill the
-vacuous kinds only once its last record is out.
+vacuous kinds only once its last record is out. A kept report renders as
+whole-line pieces whose join is its lines' join, without one string per line.
 """
 
 import functools
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from autodegree import CatalogEntry, catalog_build, run_scan
-from autodegree.scan import SUITES, ScanReport, render_scan_kv, scan_kv, scan_records
+from autodegree.scan import (SUITES, ScanReport, render_scan_human, render_scan_kv, scan_human,
+                             scan_kv, scan_records)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 PAST_THE_CAP = tuple(
@@ -89,3 +92,25 @@ def test_the_record_stream_renders_as_the_kept_report(suite):
     assert vacuous_while_streaming and all(v == [] for v in vacuous_while_streaming)
     assert report.vacuous == kept.vacuous
     assert (suite in ("equalities", "all")) == bool(kept.vacuous)
+
+
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+@pytest.mark.parametrize("fmt", ["kv", "human"])
+def test_a_kept_report_renders_as_pieces_of_its_lines(fmt, suite):
+    report = default_scan(suite)
+    render, lines = (render_scan_kv, scan_kv) if fmt == "kv" else (render_scan_human, scan_human)
+    assert "\n".join(render(report)) == "\n".join(lines(report, report.records))
+
+
+def test_joining_a_kept_report_holds_pieces_not_lines():
+    entry = CatalogEntry("D(4)×D(4)", catalog_build("D(4)×D(4)"))
+    report = run_scan("all", max_order=64, catalog=(entry,), group_cap=64)
+    assert len(report.records) == 13901
+    tracemalloc.start()
+    try:
+        text = "\n".join(render_scan_kv(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One string per line peaks at 3.8 times the 3.6 MB text; pieces at 2.0 times.
+    assert peak < 2.5 * len(text)
