@@ -59,6 +59,7 @@ from .groups import (
     SizeCapError,
     SubgroupSet,
     TableParseError,
+    count_isomorphisms,
     direct_product,
     enumerate_subgroups,
     find_isomorphism,

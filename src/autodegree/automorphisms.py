@@ -216,8 +216,9 @@ def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     The search pins generator images of equal order and centraliser size
     and closes each prefix by map extension, which validates it; it
     reaches the first automorphism leaf by leaf and composes the others
-    from the pointwise stabilisers it finds on the way, so the enumeration
-    is exactly the automorphisms without a search per automorphism. As
+    from the pointwise stabilisers it finds on the way (the chain walk,
+    :func:`~autodegree.groups._coset_heads`), so the enumeration is
+    exactly the automorphisms without a search per automorphism. As
     insurance against search bugs, closure under composition is then
     certified from a generating set (:func:`closure_witness`), in
     O(|A| log |A| n) steps, and the listing is checked free of repeats,

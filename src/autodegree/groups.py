@@ -11,6 +11,7 @@ twice.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import cached_property
 from operator import eq, itemgetter
@@ -179,14 +180,20 @@ def _identity_candidate(table: tuple[tuple[int, ...], ...]) -> Optional[int]:
 def validate_group_table(g: GroupTable) -> None:
     """Exhaustively check the group axioms, raising AxiomError with a witness.
 
-    Checks, in order: identity at index 0, associativity over all n^3
-    triples, and two-sided inverses (through :attr:`GroupTable.inverses`).
+    Checks, in order: a square table of n >= 1 rows whose entries lie in
+    [0, n), identity at index 0, associativity over all n^3 triples, and
+    two-sided inverses (through :attr:`GroupTable.inverses`).
     """
     t = g.table
     n = len(t)
-    for row in t:
+    if n == 0:
+        raise AxiomError("table is empty: a group has at least one element")
+    for a, row in enumerate(t):
         if len(row) != n:
             raise AxiomError("table is not square")
+        for b, ab in enumerate(row):
+            if not 0 <= ab < n:
+                raise AxiomError(f"closure: row {a}, column {b} holds {ab}, outside [0, {n})")
     for a in range(n):
         if t[0][a] != a or t[a][0] != a:
             e = _identity_candidate(t)
@@ -701,46 +708,67 @@ def _grow_orbit(orbit: dict[int, tuple[int, ...]], perms: Sequence[tuple[int, ..
                 queue.append(q)
 
 
-def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
-    """Yield every isomorphism G1 -> G2 in a fixed deterministic order.
+def _first_leaf(
+    G1: GroupTable, G2: GroupTable, levels: list[list[int]], i: int, mapped: dict[int, int],
+    used: set[int], path: list, candidates: Optional[Iterable[int]] = None,
+) -> Optional[tuple[int, ...]]:
+    """The first leaf under the prefix ``mapped``, or None; a found leaf's levels go on ``path``.
 
-    The order is lexicographic in the images of a generating set ``gens``
-    of G1; candidate images are the elements of equal order and equal
-    centraliser size, in ascending order. An isomorphism preserves both,
-    so this key drops only candidates that no isomorphism can use, and two
-    groups whose sorted keys differ are not isomorphic. A prefix P, the
-    images of ``gens[:i]``, is pinned and closed with
-    :func:`close_partial_map`, which also checks every product relation
-    against the generators assigned so far.
+    Level i tries ``candidates``, by default ``levels[i]``, closing each; a conflict moves on.
+    """
+    gens = G1.generators
+    if i == len(gens):
+        if len(mapped) != G1.order:
+            raise InvariantError("generating set failed to generate the group")
+        return tuple(mapped[a] for a in range(G1.order))
+    if candidates is None:
+        candidates = iter(levels[i])
+    for y in candidates:
+        if y in used:
+            continue
+        ext, ext_used = {**mapped, gens[i]: y}, used | {y}
+        if close_partial_map(G1, G2, ext, ext_used, gens[: i + 1]):
+            found = _first_leaf(G1, G2, levels, i + 1, ext, ext_used, path)
+            if found is not None:
+                path.append((i, mapped, used, candidates))
+                return found
+    return None
 
-    The isomorphisms that extend P are exactly phi_P * S_i (phi_P after an
-    element of S_i), where phi_P is any one of them and S_i is the
-    pointwise stabiliser of ``gens[:i]`` in Aut(G1). So only the first
-    isomorphism phi_0 is searched leaf by leaf. That search records its
-    path as it unwinds: for each level i, deepest first, the prefix, its
-    used images and the candidates left after phi_0's own choice. Once
-    phi_0 is yielded, one loop walks the path in that order, and at each
-    level the rest of the first prefix's subtree is read from what has been
-    found so far:
 
-    - a candidate y for ``gens[i]`` is settled without a search when
-      x = phi_0^-1(y) is in the orbit of ``gens[i]`` under the part of S_i
-      found so far: its subtree is phi_0 * t * S_(i+1), with t the orbit's
-      transversal element;
-    - otherwise a search to the first leaf phi_P either finds a new element
-      phi_0^-1 * phi_P of S_i, which grows the orbit, and yields
-      phi_P * S_(i+1); or it fails, and no isomorphism extends P with y.
+def _coset_heads(G1: GroupTable, G2: GroupTable) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Each coset phi * S_i of the isomorphisms G1 -> G2, as phi and the orbits of levels i on.
 
-    When the level finishes, its orbit is all of the S_i-orbit of
-    ``gens[i]``, so S_i is the transversal times S_(i+1) and every later
-    prefix at level i needs only its own first leaf. Each coset is listed
-    orbit point by orbit point, ordered by the image of the level's
-    generator, which is the order the leaf-by-leaf search would visit it
-    in; the order is unchanged and nothing is listed ahead of its turn.
-    The search to phi_0 is the leaf-by-leaf search itself, so
-    :func:`find_isomorphism` makes the closure calls of a plain depth-first
-    search over the same keyed candidates, and every yielded map is a
-    composition of maps that the closure found.
+    The isomorphisms are ordered lexicographically in the images of a generating set ``gens`` of
+    G1; candidate images are the elements of equal order and equal centraliser size, in
+    ascending order. An isomorphism preserves both, so this key drops only candidates that no
+    isomorphism can use, and two groups whose sorted keys differ are not isomorphic. A prefix P,
+    the images of ``gens[:i]``, is pinned and closed with :func:`close_partial_map`, which also
+    checks every product relation against the generators assigned so far.
+
+    The isomorphisms that extend P are exactly phi_P * S_i (phi_P after an element of S_i),
+    where phi_P is any one of them and S_i is the pointwise stabiliser of ``gens[:i]`` in
+    Aut(G1). So only the first isomorphism phi_0 is searched leaf by leaf. That search records
+    its path as it unwinds: for each level i, deepest first, the prefix, its used images and the
+    candidates left after phi_0's own choice. Once phi_0 is yielded, one loop walks the path in
+    that order, and at each level the rest of the first prefix's subtree is read from what has
+    been found so far:
+
+    - a candidate y for ``gens[i]`` is settled without a search when x = phi_0^-1(y) is in the
+      orbit of ``gens[i]`` under the part of S_i found so far: its subtree is
+      phi_0 * t * S_(i+1), with t the orbit's transversal element;
+    - otherwise a search to the first leaf phi_P either finds a new element phi_0^-1 * phi_P of
+      S_i, which grows the orbit, and yields phi_P * S_(i+1); or it fails, and no isomorphism
+      extends P with y.
+
+    When the level finishes, its orbit is all of the S_i-orbit of ``gens[i]``, so S_i is the
+    transversal times S_(i+1) and every later prefix at level i needs only its own first leaf.
+    A head comes with the orbits (point -> transversal element) of finished levels only, so
+    |S_(i+1)| is the product of their lengths. :func:`_coset` lists a coset orbit point by
+    orbit point, ordered by the image of the level's generator, which is the order the
+    leaf-by-leaf search would visit it in; the order is unchanged and nothing is listed ahead
+    of its turn. The search to phi_0 is the leaf-by-leaf search itself, so
+    :func:`find_isomorphism` makes the closure calls of a plain depth-first search over the
+    same keyed candidates, and every listed map is a composition of maps that the closure found.
     """
     key1 = list(zip(map(G1.element_order, G1.elements()), G1.centralizer_sizes))
     key2 = key1 if G2 is G1 else list(
@@ -748,78 +776,55 @@ def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
     if sorted(key1) != sorted(key2):
         return
     gens = G1.generators
-    k = len(gens)
     # Level i's candidate images of gens[i]: the elements of its key, ascending.
     levels = [[y for y in G2.elements() if key2[y] == key1[g]] for g in gens]
     n = G1.order
     # Level i's orbit of gens[i]: point -> transversal element of S_i.
     orbits = [{g: tuple(range(n))} for g in gens]
-    # Generators found so far. Levels finish deepest first, so when level i
-    # starts reading its orbit these generate S_(i+1), and then S_i once the
-    # level has added its own.
+    # Generators found so far. Levels finish deepest first, so when level i starts reading
+    # its orbit these generate S_(i+1), and then S_i once the level has added its own.
     strong: list[tuple[int, ...]] = []
-
-    def first_leaf(
-        i: int, mapped: dict[int, int], used: set[int], path: list, candidates=None
-    ) -> Optional[tuple[int, ...]]:
-        """The first leaf under the prefix ``mapped``, or None; a found leaf's levels go on ``path``.
-
-        ``gens[i]`` tries ``candidates``, by default every element of its
-        order and centraliser size; each image is added to the prefix and
-        closed, and a conflict moves on to the next.
-        """
-        if i == k:
-            if len(mapped) != n:
-                raise InvariantError("generating set failed to generate the group")
-            return tuple(mapped[a] for a in range(n))
-        if candidates is None:
-            candidates = iter(levels[i])
+    path: list[tuple[int, dict[int, int], set[int], Iterator[int]]] = []
+    phi0 = _first_leaf(G1, G2, levels, 0, {0: 0}, {0}, path)
+    if phi0 is None:
+        return
+    yield phi0, []
+    inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
+    for i, mapped, used, candidates in path:
+        orbit, deeper = orbits[i], orbits[i + 1 :]
         for y in candidates:
             if y in used:
                 continue
-            ext, ext_used = {**mapped, gens[i]: y}, used | {y}
-            if close_partial_map(G1, G2, ext, ext_used, gens[: i + 1]):
-                found = first_leaf(i + 1, ext, ext_used, path)
-                if found is not None:
-                    path.append((i, mapped, used, candidates))
-                    return found
-        return None
+            x = inv0[y]
+            if x in orbit:
+                yield compose_perms(phi0, orbit[x]), deeper
+                continue
+            phi = _first_leaf(G1, G2, levels, i, mapped, used, [], [y])
+            if phi is None:
+                continue
+            strong.append(compose_perms(inv0, phi))
+            _grow_orbit(orbit, strong)
+            yield phi, deeper
 
-    def coset(phi: tuple[int, ...], i: int) -> Iterator[GroupHom]:
-        """phi * S_i in search order: by the image of gens[i], then deeper."""
-        if i == k:
-            yield GroupHom(G1, G2, phi)
-            return
-        orbit = orbits[i]
-        for x in sorted(orbit, key=phi.__getitem__):
-            yield from coset(compose_perms(phi, orbit[x]), i + 1)
 
-    # first_leaf and coset reach themselves through their closure cells: clearing both
-    # names when the search ends or is dropped frees its state without the cyclic GC.
-    try:
-        path: list[tuple[int, dict[int, int], set[int], Iterator[int]]] = []
-        phi0 = first_leaf(0, {0: 0}, {0}, path)
-        if phi0 is None:
-            return
-        yield GroupHom(G1, G2, phi0)
-        inv0 = tuple(sorted(range(n), key=phi0.__getitem__))
-        for i, mapped, used, candidates in path:
-            orbit = orbits[i]
-            for y in candidates:
-                if y in used:
-                    continue
-                x = inv0[y]
-                if x in orbit:
-                    yield from coset(compose_perms(phi0, orbit[x]), i + 1)
-                    continue
-                phi = first_leaf(i, mapped, used, [], [y])
-                if phi is None:
-                    continue
-                strong.append(compose_perms(inv0, phi))
-                _grow_orbit(orbit, strong)
-                yield from coset(phi, i + 1)
-    finally:
-        del first_leaf, coset
+def _coset(G1: GroupTable, G2: GroupTable, phi: tuple[int, ...], orbits: list) -> Iterator[GroupHom]:
+    """phi * S_i in search order, ``orbits`` being levels i on: by the image of gens[i], then deeper."""
+    if orbits:
+        for x in sorted(orbits[0], key=phi.__getitem__):
+            yield from _coset(G1, G2, compose_perms(phi, orbits[0][x]), orbits[1:])
+    else:
+        yield GroupHom(G1, G2, phi)
+
+
+def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
+    """Yield every isomorphism G1 -> G2 in a fixed deterministic order: the cosets of :func:`_coset_heads`."""
+    for phi, orbits in _coset_heads(G1, G2):
+        yield from _coset(G1, G2, phi, orbits)
+
+
+def count_isomorphisms(G1: GroupTable, G2: GroupTable) -> int:
+    """How many isomorphisms G1 -> G2 there are (|Aut(G1)| if G2 is G1): coset sizes, none listed."""
+    return sum(math.prod(map(len, orbits)) for _, orbits in _coset_heads(G1, G2))
 
 
 def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:

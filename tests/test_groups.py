@@ -40,6 +40,7 @@ from autodegree.groups import (
     SubgroupSet,
     TableParseError,
     close_partial_map,
+    count_isomorphisms,
     direct_product,
     enumerate_subgroups,
     find_isomorphism,
@@ -56,6 +57,7 @@ from autodegree.groups import (
 from autodegree.scan import DEFAULT_CATALOG_NAMES
 from test_action_table import relabeled
 from test_aut_classes import SCAN_GROUPS
+from test_automorphisms import EXTENDED_GROUPS
 
 Z3_TEXT = """\
 # cyclic group of order 3
@@ -138,6 +140,15 @@ class TestParsing:
         with pytest.raises(AxiomError) as exc:
             parse_group_table("2\n0 1\n1 1")
         assert "inverse" in str(exc.value)
+
+    def test_validation_refuses_the_empty_table(self):
+        with pytest.raises(AxiomError, match="empty"):
+            validate_group_table(GroupTable(()))
+
+    def test_validation_names_an_out_of_range_entry(self):
+        # Checked before the identity, so the entry 7 is not read as an index.
+        with pytest.raises(AxiomError, match=r"row 1, column 1 holds 7, outside \[0, 2\)"):
+            validate_group_table(GroupTable(((0, 1), (1, 7))))
 
 
 @st.composite
@@ -787,7 +798,9 @@ class TestStabiliserCosets:
     def test_relabelled_d4xq8_matches_the_dfs(self, perm):
         g = catalog_build("D(4)×Q8")
         h = relabeled(g, (0,) + tuple(perm))
-        assert images(h, g) == list(oracles.dfs_isomorphisms(h, g))
+        listing = images(h, g)
+        assert listing == list(oracles.dfs_isomorphisms(h, g))
+        assert count_isomorphisms(h, g) == len(listing)
 
     def test_relabelled_e24_matches_the_dfs(self):
         g = catalog_build("E(2,4)")
@@ -843,6 +856,7 @@ class TestStabiliserCosets:
             (("Q8×C(4)", "Q8×C(4)"), True),
             (("Q8×C(4)", "Q8×C(4)"), False),  # find_isomorphism abandons the search
             (("C(4)×C(4)", "C(2)×Q8"), False),  # the search fails
+            (("Q8×C(4)", "Q8×C(4)"), "count"),  # count_isomorphisms walks every coset head
         ],
     )
     def test_search_leaves_no_reference_cycle(self, pair, drain):
@@ -851,7 +865,9 @@ class TestStabiliserCosets:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            if drain:
+            if drain == "count":
+                assert count_isomorphisms(g1, g2) == 384
+            elif drain:
                 assert len(images(g1, g2)) == 384
             else:
                 find_isomorphism(g1, g2)
@@ -859,6 +875,49 @@ class TestStabiliserCosets:
         finally:
             if enabled:
                 gc.enable()
+
+
+# The groups that the benchmark's workloads name, beyond the default catalog.
+BENCH_GROUPS = SCAN_GROUPS + ("C(2)×Q8", "C(2)×C(2)×C(4)", "C(2)×C(2)×S(3)")
+
+
+class TestCountIsomorphisms:
+    """count_isomorphisms sums the walk's coset sizes: the listing's length, with no map listed."""
+
+    @pytest.mark.parametrize("name", [*DEFAULT_CATALOG_NAMES, *BENCH_GROUPS, "E(2,4)"])
+    def test_counts_what_compute_aut_lists(self, name):
+        g = catalog_build(name)
+        assert count_isomorphisms(g, g) == compute_aut(g, cap=48).size
+
+    @pytest.mark.parametrize("name", sorted(EXTENDED_GROUPS))
+    def test_counts_what_compute_aut_lists_past_the_catalog(self, name):
+        g = EXTENDED_GROUPS[name]()
+        assert count_isomorphisms(g, g) == compute_aut(g, cap=32).size
+
+    @pytest.mark.parametrize(
+        "p, k, size", [(2, 5, 9_999_360), (2, 6, 20_158_709_760), (3, 4, 24_261_120)]
+    )
+    def test_counts_gl_without_listing_a_map(self, monkeypatch, p, k, size):
+        g = catalog_build(f"E({p},{k})")
+
+        def no_listing(*args):
+            raise AssertionError("count_isomorphisms built a GroupHom")
+
+        monkeypatch.setattr(groups, "GroupHom", no_listing)
+        assert count_isomorphisms(g, g) == size == math.prod(p**k - p**i for i in range(k))
+
+    def test_counts_isomorphisms_between_two_groups(self):
+        assert count_isomorphisms(symmetric(3), dihedral(3)) == 6
+        assert count_isomorphisms(catalog_build("C(4)×C(4)"), catalog_build("C(2)×Q8")) == 0
+
+    @pytest.mark.parametrize("name", ["Q8×C(4)", "D(4)×Q8", "E(2,4)"])
+    def test_counting_makes_the_closures_of_a_listing(self, monkeypatch, name):
+        g = catalog_build(name)
+        calls = count_closures(monkeypatch)
+        size = count_isomorphisms(g, g)
+        counted, calls[0] = calls[0], 0
+        assert len(images(g, g)) == size
+        assert counted == calls[0] > 0
 
 
 class TestDirectProduct:
