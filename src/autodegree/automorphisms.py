@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .groups import (
     ORDER_CAP,
@@ -41,13 +41,6 @@ class Automorphism(_Frozen):
     def __init__(self, parent: GroupTable, image: tuple[int, ...]):
         vars(self).update(parent=parent, image=image)
 
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.image))
-
-    def validate(self) -> None:
-        """Raise InvariantError unless this is an automorphism (:meth:`GroupHom.validate`)."""
-        GroupHom(self.parent, self.parent, self.image).validate()
-
     def cycle_notation(self) -> str:
         """Disjoint cycles of element indices; 'id' for the identity."""
         seen: set[int] = set()
@@ -74,12 +67,15 @@ _UNBUILT = object()
 class AutGroup(_Frozen):
     """A composition-closed set of automorphisms, in strictly increasing image order.
 
-    The identity automorphism is always members[0]: every automorphism fixes
-    index 0, and the identity array is lexicographically least among such
-    permutations.
+    The member data is ``images``: each automorphism as the tuple of its
+    images of the element indices, with no wrapper object per member. The
+    identity array is always images[0]: every automorphism fixes index 0,
+    and the identity array is lexicographically least among such
+    permutations. :attr:`members` wraps them as :class:`Automorphism`
+    values, built only when read, for the callers that name one.
 
     The action is tabulated once per group, each table by its own loop over
-    ``members`` and none from another: ``orbit_of`` from image columns,
+    ``images`` and none from another: ``orbit_of`` from image columns,
     ``fixer_count`` by a tally of those columns, ``stabilizer_sizes`` and
     ``member_images`` element by element, ``fixed_point_sets`` member by
     member. As A is a group, orbit-stabilizer gives |orbit(x)| |Stab(x)| =
@@ -103,37 +99,40 @@ class AutGroup(_Frozen):
     (e), which read ``member_images`` and the induced groups.
     """
 
-    def __init__(self, parent: GroupTable, members: tuple[Automorphism, ...]):
-        vars(self).update(parent=parent, members=members, size=len(members))
+    def __init__(self, parent: GroupTable, images: tuple[tuple[int, ...], ...]):
+        vars(self).update(parent=parent, images=images, size=len(images))
+
+    @cached_property
+    def members(self) -> tuple[Automorphism, ...]:
+        """``images`` as :class:`Automorphism` values, built on first read; index i is images[i]."""
+        return tuple(Automorphism(self.parent, img) for img in self.images)
 
     @cached_property
     def orbit_of(self) -> tuple[tuple[int, ...], ...]:
         """The orbit of each element, indexed by element: its images, sorted, least first."""
-        columns = zip(*(a.image for a in self.members))
-        return tuple(tuple(sorted(set(c))) for c in columns)
+        return tuple(tuple(sorted(set(c))) for c in zip(*self.images))
 
     @cached_property
     def fixer_count(self) -> tuple[int, ...]:
         """How many members fix each element, counted pair by pair, not as |A| / |orbit|."""
-        columns = zip(*(a.image for a in self.members))
-        return tuple(c.count(x) for x, c in enumerate(columns))
+        return tuple(c.count(x) for x, c in enumerate(zip(*self.images)))
 
     @cached_property
     def stabilizer_sizes(self) -> tuple[int, ...]:
-        """How many members fix each element, counted element by element over ``members``."""
-        images = [a.image for a in self.members]
+        """How many members fix each element, counted element by element over ``images``."""
+        images = self.images
         return tuple(sum(1 for img in images if img[x] == x) for x in self.parent.elements())
 
     @cached_property
     def fixed_point_sets(self) -> tuple[tuple[frozenset[int], int], ...]:
         """The distinct fixed-point sets of the members, each with how many members have it."""
-        counts = Counter(frozenset(x for x, y in enumerate(a.image) if x == y) for a in self.members)
+        counts = Counter(frozenset(x for x, y in enumerate(img) if x == y) for img in self.images)
         return tuple(counts.items())
 
     @cached_property
     def member_images(self) -> tuple[frozenset[int], ...]:
-        """The images of each element over ``members``, collected element by element."""
-        images = [a.image for a in self.members]
+        """The images of each element over ``images``, collected element by element."""
+        images = self.images
         return tuple(frozenset(map(itemgetter(x), images)) for x in self.parent.elements())
 
     @cached_property
@@ -170,44 +169,36 @@ class AutGroup(_Frozen):
         return record
 
     def validate(self) -> None:
-        """Check the group axioms for this set under composition."""
-        if not self.members:
+        """Check the group axioms under composition, each image array by :meth:`GroupHom.validate`."""
+        G, images = self.parent, self.images
+        if not images:
             raise InvariantError("automorphism group is empty")
-        if any(a.image >= b.image for a, b in zip(self.members, self.members[1:])):
+        if any(a >= b for a, b in zip(images, images[1:])):
             raise InvariantError("members are not in strictly increasing image order")
-        if not self.members[0].is_identity():
+        identity = tuple(G.elements())
+        if images[0] != identity:
             raise InvariantError("members[0] is not the identity automorphism")
-        for a in self.members:
-            if a.parent != self.parent:
-                raise ParentMismatchError("automorphism belongs to a different group")
-            a.validate()
-        if _composition_witness(self.parent, self.members) is not None:
+        for img in images:
+            GroupHom(G, G, img).validate()
+        if closure_witness(identity, images, compose_perms) is not None:
             raise InvariantError("automorphism set not closed under composition")
 
     @cached_property
     def abstract_group(self) -> GroupTable:
         """This set as an abstract group under composition.
 
-        Index i of the abstract group is members[i]; the identity lands at
+        Index i of the abstract group is images[i]; the identity lands at
         index 0 by the ordering argument above. An automorphism is fixed by
         its images of ``parent.generators`` (as in :meth:`GroupHom.validate`),
         so each member is keyed by them (:func:`_composition_table`):
         |generators| lookups per entry, not n. Only the autoisoclinism
         witness search reads this |A|^2-entry table.
         """
-        images = [a.image for a in self.members]
-        gens = self.parent.generators
+        images, gens = self.images, self.parent.generators
         table = _composition_table(images, [compose_perms(img, gens) for img in images])
-        if any(table.table[0][j] != j for j in range(len(self.members))):
+        if any(table.table[0][j] != j for j in range(self.size)):
             raise InvariantError("identity automorphism did not land at index 0")
         return table
-
-
-def _composition_witness(
-    G: GroupTable, members: tuple[Automorphism, ...]
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """closure_witness for automorphisms of G under composition, on image arrays."""
-    return closure_witness(tuple(G.elements()), [a.image for a in members], compose_perms)
 
 
 def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
@@ -222,16 +213,16 @@ def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     insurance against search bugs, closure under composition is then
     certified from a generating set (:func:`closure_witness`), in
     O(|A| log |A| n) steps, and the listing is checked free of repeats,
-    which the set-based recheck cannot see.
+    which the set-based recheck cannot see. The sorted image arrays are
+    the group's member data, ``images``.
     """
     refuse_over_cap("automorphism search", G.order, cap)
-    perms = sorted(h.image for h in iter_isomorphisms(G, G))
-    if any(p == q for p, q in zip(perms, perms[1:])):
+    images = tuple(sorted(h.image for h in iter_isomorphisms(G, G)))
+    if any(p == q for p, q in zip(images, images[1:])):
         raise InvariantError("automorphism enumeration listed a map twice")
-    group = AutGroup(G, tuple(Automorphism(G, p) for p in perms))
-    if _composition_witness(G, group.members) is not None:
+    if closure_witness(tuple(G.elements()), images, compose_perms) is not None:
         raise InvariantError("automorphism enumeration is not closed under composition")
-    return group
+    return AutGroup(G, images)
 
 
 def compute_inn(G: GroupTable) -> AutGroup:
@@ -242,7 +233,7 @@ def compute_inn(G: GroupTable) -> AutGroup:
         tuple(t[t[g][x]][invs[g]] for x in G.elements())
         for g in G.elements()
     }
-    return AutGroup(G, tuple(Automorphism(G, img) for img in sorted(images)))
+    return AutGroup(G, tuple(sorted(images)))
 
 
 def orbit(A: AutGroup, x: int) -> tuple[int, ...]:
@@ -255,15 +246,16 @@ def orbits_on_subgroup(A: AutGroup, H: SubgroupSet) -> list[tuple[int, ...]]:
     """The distinct orbits of the members of H, ordered by representative.
 
     H need not be invariant under A, so an orbit may contain elements
-    outside H; each orbit still appears once.
+    outside H; each orbit still appears once. H must be a subgroup of A's parent.
     """
+    _require_same_parent(A.parent, H)
     return sorted({A.orbit_of[x] for x in H.members})
 
 
 def stabilizer(A: AutGroup, x: int) -> AutGroup:
     """Members of A fixing x; a subgroup of A, in the inherited order."""
     A.parent.check_element(x)
-    return AutGroup(A.parent, tuple(a for a in A.members if a.image[x] == x))
+    return AutGroup(A.parent, tuple(img for img in A.images if img[x] == x))
 
 
 def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:

@@ -488,12 +488,12 @@ class EquivalenceReport(_Frozen):
 
 def _induced_on_orbit(A: AutGroup, x: int) -> Optional[GroupTable]:
     """The group A induces on orbit(x) if Stab(x) is normal in A, else None."""
-    points = sorted(A.member_images[x])
-    if any(a.image[y] != y for a in A.members if a.image[x] == x for y in points):
+    points, images = sorted(A.member_images[x]), A.images
+    if any(img[y] != y for img in images if img[x] == x for y in points):
         return None
     pos = {y: i for i, y in enumerate(points)}
     # The identity restriction is the least, so it lands at index 0.
-    induced = sorted({tuple(pos[a.image[y]] for y in points) for a in A.members})
+    induced = sorted({tuple(pos[img[y]] for y in points) for img in images})
     if len(induced) != len(points):
         raise InvariantError(f"{len(induced)} induced permutations on an orbit of {len(points)}")
     return permutation_table(induced)

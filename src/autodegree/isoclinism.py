@@ -57,12 +57,12 @@ def make_pair(
     coset representative, and a disagreement raises :class:`InvariantError`.
     """
     A = auts if auts is not None else am.compute_aut(G)
-    images = {a.image for a in A.members}
-    missing = [a for a in am.compute_inn(G).members if a.image not in images]
+    images = set(A.images)
+    missing = [img for img in am.compute_inn(G).images if img not in images]
     if missing:
         raise PreconditionError(
             f"the automorphisms must contain Inn(G), as the quotient by the autocentre "
-            f"and the coset pairing need; {missing[0].cycle_notation()} is missing"
+            f"and the coset pairing need; {am.Automorphism(G, missing[0]).cycle_notation()} is missing"
         )
     if H is None:
         # The whole of A's own group, certified once per A; a foreign A is refused below.

@@ -102,9 +102,9 @@ def test_tables_tally_images_on_member_sets_that_are_not_groups():
     g = catalog_build("C(2)×C(2)")
     full = compute_aut(g)
     for r in range(1, full.size + 1):
-        for subset in itertools.combinations(full.members, r):
+        for subset in itertools.combinations(full.images, r):
             A = AutGroup(g, subset)
-            auts = [a.image for a in subset]
+            auts = list(subset)
             for x in g.elements():
                 assert A.orbit_of[x] == oracles.brute_orbit(g.table, auts, x)
                 assert A.fixer_count[x] == oracles.brute_fixed_pairs(g.table, (x,), auts)

@@ -40,7 +40,7 @@ from autodegree.groups import (
     validate_group_table,
     whole_subgroup,
 )
-from autodegree.scan import CatalogEntry, run_scan
+from autodegree.scan import SUITES, CatalogEntry, run_scan
 
 
 def aut_of(name: str) -> tuple:
@@ -52,7 +52,7 @@ class TestComputeAut:
     def test_trivial_group(self):
         g, a = aut_of("C(1)")
         assert a.size == 1
-        assert a.members[0].is_identity()
+        assert a.images[0] == tuple(g.elements())
 
     def test_z3_has_identity_and_inversion(self):
         g, a = aut_of("C(3)")
@@ -94,10 +94,10 @@ class TestComputeAut:
         assert len(images) == size
 
     def test_members_sorted_lexicographically(self):
-        _, a = aut_of("C(8)")
+        g, a = aut_of("C(8)")
         images = [m.image for m in a.members]
         assert images == sorted(images)
-        assert a.members[0].is_identity()
+        assert a.images[0] == tuple(g.elements())
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -111,16 +111,16 @@ class TestComputeAut:
     def test_validate_rejects_a_set_missing_one_member(self, name):
         g, a = aut_of(name)
         for dropped in range(a.size):
-            rest = a.members[:dropped] + a.members[dropped + 1:]
+            rest = a.images[:dropped] + a.images[dropped + 1:]
             with pytest.raises(InvariantError):
                 AutGroup(g, rest).validate()
 
     @pytest.mark.parametrize("name", ["S(3)", "C(5)", "D(4)"])
     def test_enumeration_dropping_one_automorphism_is_caught(self, name, monkeypatch):
         g, full = aut_of(name)
-        for dropped in full.members:
+        for dropped in full.images:
             def search(G1, G2, dropped=dropped):
-                return (h for h in iter_isomorphisms(G1, G2) if h.image != dropped.image)
+                return (h for h in iter_isomorphisms(G1, G2) if h.image != dropped)
 
             monkeypatch.setattr(automorphisms, "iter_isomorphisms", search)
             with pytest.raises(InvariantError, match="not closed under composition"):
@@ -129,15 +129,15 @@ class TestComputeAut:
     def test_validate_rejects_a_repeated_member(self):
         # Repeated, the inversion would weigh twice: |A| = 3 and Pr = 5/9, not 2/3.
         g, a = aut_of("C(3)")
-        identity, inversion = a.members
+        identity, inversion = a.images
         with pytest.raises(InvariantError, match="strictly increasing"):
             AutGroup(g, (identity, inversion, inversion)).validate()
 
     def test_validate_refuses_another_groups_automorphisms(self):
         # Only 2 of the 6 automorphisms of C(2)×C(2) are automorphisms of C(4);
         # read as Aut(C(4)), the set gives Pr(C(4)) = 1/2 by definition.
-        with pytest.raises(ParentMismatchError):
-            AutGroup(cyclic(4), compute_aut(catalog_build("C(2)×C(2)")).members).validate()
+        with pytest.raises(InvariantError, match="not a homomorphism"):
+            AutGroup(cyclic(4), compute_aut(catalog_build("C(2)×C(2)")).images).validate()
 
     def test_enumeration_listing_a_map_twice_is_caught(self, monkeypatch):
         # The closure recheck reads the members as a set, so it cannot see a repeat.
@@ -169,7 +169,7 @@ class TestComputeAut:
         # C(4) is generated by 1; (0, 1, 3, 2) is no automorphism but agrees with the identity there.
         g = catalog_build("C(4)")
         assert g.generators == (1,)
-        fake = AutGroup(g, (compute_aut(g).members[0], Automorphism(g, (0, 1, 3, 2))))
+        fake = AutGroup(g, (compute_aut(g).images[0], (0, 1, 3, 2)))
         with pytest.raises(InvariantError, match="share a key"):
             fake.abstract_group
 
@@ -313,7 +313,7 @@ class TestOrbitsAndStabilizers:
         g, a = aut_of("C(4)")
         s = stabilizer(a, 1)
         assert s.size == 1
-        assert s.members[0].is_identity()
+        assert s.images[0] == tuple(g.elements())
 
     def test_orbits_partition_group(self):
         for name in ["C(8)", "S(3)", "Q8", "A(4)"]:
@@ -340,6 +340,13 @@ class TestOrbitsAndStabilizers:
         s3, a = aut_of("S(3)")
         h = subgroup_closure(s3, {1})
         assert orbits_on_subgroup(a, h) == [(0,), (1, 2, 5)]
+
+    @pytest.mark.parametrize("name", ["C(4)", "C(2)"])
+    def test_orbits_on_a_subgroup_of_another_group_are_refused(self, name):
+        # Unchecked, C(4) would give its own orbits and C(2) an IndexError.
+        a = compute_aut(catalog_build(name))
+        with pytest.raises(ParentMismatchError):
+            orbits_on_subgroup(a, whole_subgroup(catalog_build("C(2)×C(2)")))
 
 
 class TestFixedStructures:
@@ -471,6 +478,34 @@ class TestAutomorphismBasics:
         x = data.draw(st.integers(0, g.order - 1))
         stab = stabilizer(a, x)
         stab.validate()
+
+
+class TestImageRepresentation:
+    """An AutGroup's member data is its image arrays; an Automorphism is built only where named."""
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "isoclinism"])
+    def test_scans_build_no_automorphism(self, suite, monkeypatch):
+        built = []
+        init = Automorphism.__init__
+
+        def counted(self, parent, image):
+            built.append(image)
+            init(self, parent, image)
+
+        monkeypatch.setattr(automorphisms.Automorphism, "__init__", counted)
+        run_scan(suite, 24)
+        assert len(built) == 0
+        # The count does see the members view.
+        assert len(compute_aut(cyclic(4)).members) == len(built) == 2
+
+    def test_tables_and_checks_leave_the_members_view_unbuilt(self):
+        A = compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32)
+        for name in ("orbit_of", "fixer_count", "stabilizer_sizes", "fixed_point_sets",
+                     "member_images", "abstract_group"):
+            getattr(A, name)
+        A.validate()
+        assert "members" not in vars(A)
+        assert tuple(m.image for m in A.members) == A.images
 
 
 def _lattice_and_aut(name: str) -> tuple:

@@ -20,7 +20,6 @@ import oracles
 from autodegree import degree
 from autodegree.automorphisms import (
     AutGroup,
-    Automorphism,
     autocentre,
     autocommutator_subgroup,
     compute_aut,
@@ -129,7 +128,7 @@ def test_isomorphism_test_alone_decides_d():
         (0, 3, 2, 1, 5, 4, 7, 6),
         (0, 3, 2, 1, 7, 6, 5, 4),
     ]
-    A = AutGroup(g, tuple(Automorphism(g, image) for image in images))
+    A = AutGroup(g, tuple(images))
     A.validate()
     h = subgroup_closure(g, {4})
     assert h.members == (0, 4)

@@ -10,7 +10,6 @@ import pytest
 from autodegree import automorphisms, cli, isoclinism
 from autodegree.automorphisms import (
     AutGroup,
-    Automorphism,
     SubgroupAction,
     compute_aut,
     coset_pairing,
@@ -92,10 +91,9 @@ class TestPairing:
         # A = {id, (2 5)(3 4)} is closed, but it misses most of Inn(S(3)); its
         # autocentre {0, 1} is not normal, so without the check the quotient fails.
         s3 = catalog_build("S(3)")
-        swap = Automorphism(s3, (0, 1, 5, 4, 3, 2))
-        A = AutGroup(s3, (compute_aut(s3).members[0], swap))
+        A = AutGroup(s3, (compute_aut(s3).images[0], (0, 1, 5, 4, 3, 2)))
         A.validate()
-        with pytest.raises(PreconditionError, match=r"Inn\(G\)"):
+        with pytest.raises(PreconditionError, match=r"Inn\(G\).* \(1 2\)\(3 4\) is missing"):
             make_pair(s3, auts=A)
 
     def test_well_defined_across_representatives(self):

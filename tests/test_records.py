@@ -44,7 +44,7 @@ def frozen_records() -> dict[str, tuple[object, str]]:
         "GroupTable": (g, "table"),
         "SubgroupSet": (h, "members"),
         "Automorphism": (auts.members[1], "image"),
-        "AutGroup": (auts, "members"),
+        "AutGroup": (auts, "images"),
         "BoundCheck": (BoundCheck("c", Fraction(1, 2), Fraction(1), "upper"), "value"),
         "DegreeReport": (degree_report(h, auts), "pr_definition"),
     }
