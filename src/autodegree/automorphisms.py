@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 from .groups import (
     ORDER_CAP,
@@ -36,7 +36,10 @@ from .groups import (
 
 
 class Automorphism(_Frozen):
-    """A group automorphism as the permutation it induces on element indices."""
+    """A group automorphism as the permutation it induces on element indices.
+
+    Built from one of :attr:`AutGroup.images` only where an automorphism is named.
+    """
 
     def __init__(self, parent: GroupTable, image: tuple[int, ...]):
         vars(self).update(parent=parent, image=image)
@@ -71,8 +74,8 @@ class AutGroup(_Frozen):
     images of the element indices, with no wrapper object per member. The
     identity array is always images[0]: every automorphism fixes index 0,
     and the identity array is lexicographically least among such
-    permutations. :attr:`members` wraps them as :class:`Automorphism`
-    values, built only when read, for the callers that name one.
+    permutations. The image arrays are the only copy: an
+    :class:`Automorphism` is built from one only to name it.
 
     The action is tabulated once per group, each table by its own loop over
     ``images`` and none from another: ``orbit_of`` from image columns,
@@ -101,11 +104,6 @@ class AutGroup(_Frozen):
 
     def __init__(self, parent: GroupTable, images: tuple[tuple[int, ...], ...]):
         vars(self).update(parent=parent, images=images, size=len(images))
-
-    @cached_property
-    def members(self) -> tuple[Automorphism, ...]:
-        """``images`` as :class:`Automorphism` values, built on first read; index i is images[i]."""
-        return tuple(Automorphism(self.parent, img) for img in self.images)
 
     @cached_property
     def orbit_of(self) -> tuple[tuple[int, ...], ...]:
@@ -276,22 +274,18 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
         ) from exc
 
 
-def coset_pairing(
-    G: GroupTable, cosets: tuple[tuple[int, ...], ...], auts: Sequence[Automorphism]
-) -> tuple[tuple[int, ...], ...]:
-    """``rows[c][a]`` = [x, alpha] = x^-1 alpha(x) for x in ``cosets[c]``, alpha = ``auts[a]``.
+def coset_pairing(A: AutGroup, cosets: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``rows[c][a]`` = [x, alpha] = x^-1 alpha(x) for x in ``cosets[c]``, alpha = ``A.images[a]``.
 
     Each row is read from the coset's first representative, and every other
     representative is compared with it, automorphism by automorphism. Two
     that disagree raise :class:`InvariantError`, naming the coset, the first
-    automorphism in ``auts`` at which its representatives disagree and the
-    sorted values they take there. An automorphism of a group other than G
-    raises :class:`ParentMismatchError` before any value is read.
+    automorphism of A at which its representatives disagree and the
+    sorted values they take there. The table read is that of A's parent, so
+    an automorphism of another group cannot reach the pairing.
     """
-    if any(alpha.parent != G for alpha in auts):
-        raise ParentMismatchError("automorphism belongs to a different group")
+    G, images = A.parent, A.images
     t, invs = G.table, G.inverses
-    images = [a.image for a in auts]
     rows = []
     for coset in cosets:
         first, *others = coset
@@ -300,11 +294,11 @@ def coset_pairing(
         for x in others:
             inverse_row = t[invs[x]]
             if [inverse_row[img[x]] for img in images] != row:
-                for alpha in auts:
-                    values = {t[invs[y]][alpha.image[y]] for y in coset}
+                for img in images:
+                    values = {t[invs[y]][img[y]] for y in coset}
                     if len(values) != 1:
                         raise InvariantError(f"coset {coset} maps to {sorted(values)} "
-                                             f"under {alpha.cycle_notation()}")
+                                             f"under {Automorphism(G, img).cycle_notation()}")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -314,10 +308,12 @@ class SubgroupAction(_Frozen):
 
     Build it through :meth:`AutGroup.action_on`, which keeps one per
     subgroup, so every report, bound and pair reads the same values. It is
-    also the pair (H, G) of the isoclinism layer (:func:`make_pair`).
+    also the pair (H, G) of the isoclinism layer (:func:`make_pair`). H must
+    be a subgroup of A's parent, as :func:`coset_pairing` reads A's table.
     """
 
     def __init__(self, subgroup: SubgroupSet, auts: AutGroup):
+        _require_same_parent(auts.parent, subgroup)
         vars(self).update(subgroup=subgroup, auts=auts)
 
     @cached_property
@@ -373,13 +369,13 @@ class SubgroupAction(_Frozen):
 
     @cached_property
     def pairing(self) -> tuple[tuple[int, ...], ...]:
-        """``pairing[c][a]``: [x, members[a]] for x in coset c of :attr:`quotient`.
+        """``pairing[c][a]``: [x, auts.images[a]] for x in coset c of :attr:`quotient`.
 
         Each value is an element of :attr:`commutator_group`: the table of
         :func:`coset_pairing`, which checks every representative of every
         coset, mapped to positions in [H, A].
         """
-        rows = coset_pairing(self.subgroup.parent, self.quotient.cosets, self.auts.members)
+        rows = coset_pairing(self.auts, self.quotient.cosets)
         pos = self.commutator_position
         if any(v not in pos for row in rows for v in row):
             raise InvariantError("an autocommutator left the autocommutator subgroup")

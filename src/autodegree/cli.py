@@ -87,7 +87,7 @@ def cmd_compute(args) -> int:
     g = load_group(args.group)
     auts = am.compute_aut(g)
     subgroups = select_subgroups(g, args.subgroup)
-    cycles = [a.cycle_notation() for a in auts.members]
+    cycles = [am.Automorphism(g, img).cycle_notation() for img in auts.images]
 
     # Each subgroup's report is computed when its lines are due.
     def lines() -> Iterator[str]:

@@ -117,12 +117,13 @@ def _derive_beta(
 def cap_refusal(P: SubgroupAction, aut_cap: int, quotient_cap: int) -> Optional[str]:
     """Why the witness-search caps refuse pair P, or None when they admit it.
 
-    |Aut| is tested first, so a pair over the aut cap never builds its quotient.
+    |Aut| is tested first, and the quotient order is read as |H| / |L|, so no quotient is built.
     """
     if P.auts.size > aut_cap:
         return f"|Aut| = {P.auts.size} over cap {aut_cap}"
-    if P.quotient.group.order > quotient_cap:
-        return f"quotient order {P.quotient.group.order} over cap {quotient_cap}"
+    order = P.subgroup.size // P.autocentre.size
+    if order > quotient_cap:
+        return f"quotient order {order} over cap {quotient_cap}"
     return None
 
 
@@ -143,14 +144,14 @@ def find_autoisoclinism(
     refused by :func:`cap_refusal` raises :class:`SizeCapError`. The search
     is skipped when the quotient, automorphism group or commutator sizes
     differ: psi, gamma and beta are bijections between those groups, so no
-    witness exists when any of the three pairs of orders differs.
+    witness exists when any of the three pairs of orders differs (|H| / |L| for the quotients).
     """
     for P, which in ((P1, "first"), (P2, "second")):
         refusal = cap_refusal(P, aut_cap, quotient_cap)
         if refusal is not None:
             raise SizeCapError(f"witness search refuses the {which} pair {P.label()}: {refusal}")
     if (
-        P1.quotient.group.order != P2.quotient.group.order
+        P1.subgroup.size // P1.autocentre.size != P2.subgroup.size // P2.autocentre.size
         or P1.auts.size != P2.auts.size
         or P1.commutator_subgroup.size != P2.commutator_subgroup.size
     ):
@@ -201,15 +202,14 @@ def verify_witness(
             hom.validate()
         except GroupError as exc:
             return False, f"{label}: {exc}"
-    rows1, rows2 = (am.coset_pairing(P.subgroup.parent, P.quotient.cosets, P.auts.members)
-                    for P in (P1, P2))
+    rows1, rows2 = (am.coset_pairing(P.auts, P.quotient.cosets) for P in (P1, P2))
     pos1, pos2 = P1.commutator_position, P2.commutator_position
     psi, gamma, beta = witness.psi.image, witness.gamma.image, witness.beta.image
     for c, row1 in enumerate(rows1):
         row2 = rows2[psi[c]]
         for a, v1 in enumerate(row1):
             if beta[pos1[v1]] != pos2[row2[gamma[a]]]:
-                alpha = P1.auts.members[a].cycle_notation()
+                alpha = am.Automorphism(P1.auts.parent, P1.auts.images[a]).cycle_notation()
                 return False, f"diagram fails at coset {c}, automorphism {alpha}"
     return True, None
 

@@ -316,7 +316,7 @@ def brute_condition_d(h_members, aut_group) -> bool:
     )
 
     g = aut_group.parent
-    auts = [a.image for a in aut_group.members]
+    auts = list(aut_group.images)
     core = set(brute_autocentre(h_members, auts))
     k_members = brute_closure(g.table, brute_autocommutators(g.table, h_members, auts))
     k_group, _ = subgroup_as_group(g, subgroup_closure(g, k_members))

@@ -30,6 +30,7 @@ import oracles
 from autodegree import cli, groups
 from autodegree.automorphisms import (
     AutGroup,
+    Automorphism,
     SubgroupAction,
     autocentre,
     autocommutator_set,
@@ -63,7 +64,7 @@ from autodegree.scan import DEFAULT_CATALOG_NAMES, CatalogEntry, run_scan
 
 def assert_action_matches_brute(g, A, subgroups):
     table = g.table
-    auts = [a.image for a in A.members]
+    auts = list(A.images)
     orbits = {x: oracles.brute_orbit(table, auts, x) for x in g.elements()}
     for x in g.elements():
         assert orbit(A, x) == orbits[x]
@@ -238,7 +239,7 @@ def test_no_member_scan_per_subgroup_after_a_whole_group_warm_up(name):
 def test_sums_and_commuting_pairs_match_brute_on_every_subgroup_past_order_8(name):
     g = catalog_build(name)
     A = compute_aut(g, cap=48)
-    auts = [a.image for a in A.members]
+    auts = list(A.images)
     for x in g.elements():
         assert g.centralizer_sizes[x] == oracles.brute_commuting_pr(g.table, (x,)) * g.order
     for h in enumerate_subgroups(g, cap=48):
@@ -339,9 +340,9 @@ def test_fixed_points_inside_every_subgroup_form_a_subgroup(name):
     g = catalog_build(name)
     A = compute_aut(g)
     for h in enumerate_subgroups(g):
-        for a in A.members:
-            fixed = fixed_subgroup(h, a)
-            assert fixed.members == tuple(x for x in h.members if a.image[x] == x)
+        for img in A.images:
+            fixed = fixed_subgroup(h, Automorphism(g, img))
+            assert fixed.members == tuple(x for x in h.members if img[x] == x)
 
 
 def relabeled(g, perm):

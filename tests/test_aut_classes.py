@@ -45,7 +45,7 @@ def class_mismatches(name: str) -> tuple[int, list[str]]:
             continue
         key = tuple(_members(part, g.order) for part in r.subgroup.split("<="))
         records[key].append((r.suite, r.name, r.status, r.value, r.bound, r.detail))
-    maps = [a.image for a in compute_aut(g, cap=CAP).members]
+    maps = list(compute_aut(g, cap=CAP).images)
 
     def image(alpha, members):
         return tuple(sorted(alpha[x] for x in members))

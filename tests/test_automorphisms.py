@@ -57,7 +57,7 @@ class TestComputeAut:
     def test_z3_has_identity_and_inversion(self):
         g, a = aut_of("C(3)")
         assert a.size == 2
-        assert a.members[1].image == (0, 2, 1)
+        assert a.images[1] == (0, 2, 1)
 
     def test_s3(self):
         _, a = aut_of("S(3)")
@@ -75,7 +75,7 @@ class TestComputeAut:
     def test_matches_permutation_filter_oracle(self, name):
         g = catalog_build(name)
         a = compute_aut(g)
-        assert [m.image for m in a.members] == oracles.brute_automorphisms(g.table)
+        assert list(a.images) == oracles.brute_automorphisms(g.table)
 
     @pytest.mark.parametrize("name", ["C(1)", "C(6)", "C(2)×C(2)×C(2)", "D(4)", "Q8"])
     def test_generator_image_oracle_matches_permutation_filter(self, name):
@@ -89,13 +89,13 @@ class TestComputeAut:
     )
     def test_matches_generator_image_oracle_past_order_8(self, name, size):
         g = catalog_build(name)
-        images = [m.image for m in compute_aut(g).members]
+        images = list(compute_aut(g).images)
         assert images == oracles.generator_automorphisms(g.table)
         assert len(images) == size
 
     def test_members_sorted_lexicographically(self):
         g, a = aut_of("C(8)")
-        images = [m.image for m in a.members]
+        images = list(a.images)
         assert images == sorted(images)
         assert a.images[0] == tuple(g.elements())
 
@@ -161,9 +161,9 @@ class TestComputeAut:
         a = compute_aut(catalog_build(name), cap=32)
         t = a.abstract_group
         assert t.order == size
-        for i, x in enumerate(a.members):
-            for j, y in enumerate(a.members):
-                assert a.members[t.table[i][j]].image == tuple(x.image[k] for k in y.image)
+        for i, x in enumerate(a.images):
+            for j, y in enumerate(a.images):
+                assert a.images[t.table[i][j]] == tuple(x[k] for k in y)
 
     def test_members_agreeing_on_the_generators_are_refused(self):
         # C(4) is generated by 1; (0, 1, 3, 2) is no automorphism but agrees with the identity there.
@@ -217,7 +217,7 @@ class TestExtendedGroups:
         validate_group_table(g)
         a = compute_aut(g, cap=32)
         assert a.size == aut_order
-        assert [m.image for m in a.members] == oracles.generator_automorphisms(g.table)
+        assert list(a.images) == oracles.generator_automorphisms(g.table)
         lattice = [h.members for h in enumerate_subgroups(g, cap=32)]
         assert len(lattice) == subgroups
         assert sorted(lattice) == sorted(oracles.brute_subgroup_lattice(g.table))
@@ -239,51 +239,58 @@ class TestComputeInn:
         inn = compute_inn(g)
         aut = compute_aut(g)
         assert inn.size == g.order // len(oracles.brute_center(g.table))
-        aut_images = {m.image for m in aut.members}
-        assert all(m.image in aut_images for m in inn.members)
+        aut_images = set(aut.images)
+        assert all(img in aut_images for img in inn.images)
 
 
 class TestAutocommutator:
     def test_identity_automorphism_gives_identity(self):
         g, a = aut_of("C(4)")
         singletons = tuple((x,) for x in g.elements())
-        assert coset_pairing(g, singletons, a.members[:1]) == ((0,),) * g.order
+        assert coset_pairing(AutGroup(g, a.images[:1]), singletons) == ((0,),) * g.order
 
     def test_z4_inversion(self):
         g, a = aut_of("C(4)")
-        inversion = a.members[1]
-        assert inversion.image == (0, 3, 2, 1)
-        assert coset_pairing(g, ((1,),), (inversion,)) == ((2,),)
+        inversion = a.images[1]
+        assert inversion == (0, 3, 2, 1)
+        assert coset_pairing(AutGroup(g, (inversion,)), ((1,),)) == ((2,),)
 
     def test_fixed_points_give_identity(self):
         g, a = aut_of("C(4)")
         core = autocentre(whole_subgroup(g), a)
-        rows = coset_pairing(g, tuple((x,) for x in core.members), a.members)
+        rows = coset_pairing(a, tuple((x,) for x in core.members))
         assert rows == ((0,) * a.size,) * core.size
 
     def test_parent_mismatch(self):
-        g, a = aut_of("C(4)")
-        with pytest.raises(ParentMismatchError):
-            coset_pairing(cyclic(5), ((1,),), a.members[1:])
+        # The pairing reads A's own table, so a foreign A is refused where it
+        # meets a subgroup: at the (H, A) record, before any value is read.
+        g = catalog_build("C(4)")
+        for name in ("C(8)", "C(2)×C(2)"):
+            a = compute_aut(catalog_build(name))
+            for h in enumerate_subgroups(g):
+                with pytest.raises(ParentMismatchError):
+                    a.action_on(h)
+            assert a.derived == {}
 
     def test_representatives_that_disagree(self):
         # (0, 1) is no coset of the autocentre {0, 2}: inversion sends 0 to 0 and 1 to 2.
         g, a = aut_of("C(4)")
         with pytest.raises(InvariantError, match=r"coset \(0, 1\) maps to \[0, 2\] under \(1 3\)"):
-            coset_pairing(g, ((0, 2), (0, 1)), a.members)
+            coset_pairing(a, ((0, 2), (0, 1)))
         # (2 3) disagrees only at the last representative and (1 2) already at
         # the second, so reading representative by representative would name (1 2).
         g, a = aut_of("C(2)×C(2)")
         with pytest.raises(InvariantError, match=r"coset \(0, 1, 2\) maps to \[0, 1\] under \(2 3\)$"):
-            coset_pairing(g, ((0, 1, 2),), a.members)
+            coset_pairing(a, ((0, 1, 2),))
 
     def test_fixed_subgroup_refuses_a_foreign_automorphism(self):
         # Every index of C(4) is in range for an automorphism of C(8), so
         # without the parent check its fixed points inside C(4) would be read.
         g, _ = aut_of("C(4)")
-        for alpha in compute_aut(cyclic(8)).members:
+        g8 = cyclic(8)
+        for img in compute_aut(g8).images:
             with pytest.raises(ParentMismatchError):
-                fixed_subgroup(whole_subgroup(g), alpha)
+                fixed_subgroup(whole_subgroup(g), Automorphism(g8, img))
 
 
 class TestOrbitsAndStabilizers:
@@ -353,17 +360,18 @@ class TestFixedStructures:
     def test_fixed_subgroup_identity(self):
         g, a = aut_of("S(3)")
         h = whole_subgroup(g)
-        assert fixed_subgroup(h, a.members[0]).members == h.members
+        assert fixed_subgroup(h, Automorphism(g, a.images[0])).members == h.members
 
     def test_fixed_subgroup_z4_inversion(self):
         g, a = aut_of("C(4)")
-        assert fixed_subgroup(whole_subgroup(g), a.members[1]).members == (0, 2)
+        assert fixed_subgroup(whole_subgroup(g), Automorphism(g, a.images[1])).members == (0, 2)
 
     def test_fixed_subgroup_s3_inner(self):
         g = catalog_build("S(3)")
         inn = compute_inn(g)
         # conjugation by a transposition fixes exactly {e, that transposition}
-        sizes = sorted(fixed_subgroup(whole_subgroup(g), m).size for m in inn.members)
+        sizes = sorted(fixed_subgroup(whole_subgroup(g), Automorphism(g, img)).size
+                       for img in inn.images)
         assert sizes == [2, 2, 2, 3, 3, 6]
 
     def test_autocentre_identity_only_aut(self):
@@ -409,7 +417,7 @@ class TestAutocommutatorSets:
     def test_s3_against_closure_oracle(self):
         g, a = aut_of("S(3)")
         h = whole_subgroup(g)
-        auts = [m.image for m in a.members]
+        auts = list(a.images)
         brute_set = oracles.brute_autocommutators(g.table, h.members, auts)
         assert autocommutator_set(h, a) == brute_set
         assert autocommutator_subgroup(h, a).members == oracles.brute_closure(g.table, brute_set)
@@ -466,8 +474,8 @@ class TestConjugacyClasses:
 class TestAutomorphismBasics:
     def test_cycle_notation(self):
         g, a = aut_of("C(4)")
-        assert a.members[0].cycle_notation() == "id"
-        assert a.members[1].cycle_notation() == "(1 3)"
+        assert Automorphism(g, a.images[0]).cycle_notation() == "id"
+        assert Automorphism(g, a.images[1]).cycle_notation() == "(1 3)"
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -483,8 +491,9 @@ class TestAutomorphismBasics:
 class TestImageRepresentation:
     """An AutGroup's member data is its image arrays; an Automorphism is built only where named."""
 
-    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "isoclinism"])
-    def test_scans_build_no_automorphism(self, suite, monkeypatch):
+    @staticmethod
+    def _count_automorphisms(monkeypatch) -> list:
+        """Log the image of every :class:`Automorphism` built from now on."""
         built = []
         init = Automorphism.__init__
 
@@ -493,19 +502,30 @@ class TestImageRepresentation:
             init(self, parent, image)
 
         monkeypatch.setattr(automorphisms.Automorphism, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("suite", SUITES + ("all",))
+    def test_scans_build_no_automorphism(self, suite, monkeypatch):
+        built = self._count_automorphisms(monkeypatch)
         run_scan(suite, 24)
         assert len(built) == 0
-        # The count does see the members view.
-        assert len(compute_aut(cyclic(4)).members) == len(built) == 2
+        # The count does see the one built to name a disagreeing automorphism.
+        with pytest.raises(InvariantError, match=r"under \(1 3\)"):
+            coset_pairing(compute_aut(cyclic(4)), ((0, 1),))
+        assert built == [(0, 3, 2, 1)]
 
-    def test_tables_and_checks_leave_the_members_view_unbuilt(self):
-        A = compute_aut(catalog_build("C(2)×C(2)×D(4)"), cap=32)
+    def test_tables_checks_and_pairing_build_none(self, monkeypatch):
+        g = catalog_build("C(2)×C(2)×D(4)")
+        A = compute_aut(g, cap=32)
+        built = self._count_automorphisms(monkeypatch)
         for name in ("orbit_of", "fixer_count", "stabilizer_sizes", "fixed_point_sets",
                      "member_images", "abstract_group"):
             getattr(A, name)
         A.validate()
-        assert "members" not in vars(A)
-        assert tuple(m.image for m in A.members) == A.images
+        pairing = A.action_on(whole_subgroup(g)).pairing
+        assert len(pairing) > 1 and len(pairing[0]) == A.size
+        assert built == []
+        assert not hasattr(A, "members")
 
 
 def _lattice_and_aut(name: str) -> tuple:
@@ -524,7 +544,7 @@ class TestDerivedMemo:
 
     def test_each_subgroup_reads_the_oracle_values(self, name):
         g, subs, a = _lattice_and_aut(name)
-        images = [m.image for m in a.members]
+        images = list(a.images)
         for h in subs:
             record = a.action_on(h)
             assert record.autocentre.members == oracles.brute_autocentre(h.members, images)

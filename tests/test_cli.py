@@ -1,12 +1,17 @@
 """CLI behavior: commands, formats, exit codes, determinism, kv round-trip."""
 
+import gc
+import io
+import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autodegree import automorphisms as am
 from autodegree import cli, groups
 from autodegree.catalog import catalog_build
 from autodegree.cli import main
@@ -125,6 +130,33 @@ class TestCompute:
     def test_bad_subgroup_spec(self, capsys):
         code, _, err = run(capsys, "compute", "--group", "C(4)", "--subgroup", "sdf")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["human", "kv"])
+    def test_no_automorphism_is_alive_while_output_is_written(self, monkeypatch, fmt):
+        # The cycle listing keeps only its strings: each Automorphism it names is
+        # dropped at once, so none of S(4)'s 24 is held while compute writes.
+        live = weakref.WeakSet()
+        init = am.Automorphism.__init__
+
+        def tracked(self, parent, image):
+            init(self, parent, image)
+            live.add(self)
+
+        class FirstWrite(io.StringIO):
+            live_then = None
+
+            def write(self, text):
+                if self.live_then is None:
+                    gc.collect()
+                    self.live_then = len(live)
+                return super().write(text)
+
+        out = FirstWrite()
+        monkeypatch.setattr(am.Automorphism, "__init__", tracked)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["compute", "--group", "S(4)", "--subgroup", "whole", "--format", fmt]) == 0
+        assert "(1 2)" in out.getvalue()
+        assert out.live_then == 0
 
 
 class TestVerify:

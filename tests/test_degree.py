@@ -458,7 +458,7 @@ class TestBoundFormulas:
                     checks += converse_check(h, a)
                 got = {c.name: c.bound for c in checks}
                 assert len(got) == len(checks)
-                expected = _formula_bounds(g.table, h, [m.image for m in a.members])
+                expected = _formula_bounds(g.table, h, list(a.images))
                 assert got == expected, (name, a.size, h.members)
 
 

@@ -21,6 +21,7 @@ from autodegree.groups import (
     ParentMismatchError,
     PreconditionError,
     SizeCapError,
+    enumerate_subgroups,
     find_isomorphism,
     iter_isomorphisms,
     subgroup_closure,
@@ -44,8 +45,8 @@ def pair_of(name: str):
 
 
 def pairing_value(P, c, alpha) -> int:
-    """[x, alpha] for x in coset c of the pair's quotient, from the definition."""
-    return coset_pairing(P.subgroup.parent, P.quotient.cosets[c:c + 1], (alpha,))[0][0]
+    """[x, alpha] for x in coset c of the pair's quotient, alpha an image array of P's group."""
+    return coset_pairing(AutGroup(P.auts.parent, (alpha,)), P.quotient.cosets[c:c + 1])[0][0]
 
 
 def any_beta_derives(P1, P2) -> bool:
@@ -79,13 +80,13 @@ class TestPairing:
         p = pair_of("C(4)")
         assert p.autocentre.members == (0, 2)
         assert p.quotient.cosets == ((0, 2), (1, 3))
-        inversion = p.auts.members[1]
+        inversion = p.auts.images[1]
         assert pairing_value(p, 1, inversion) == 2
 
     def test_identity_automorphism_maps_every_coset_to_identity(self):
         p = pair_of("C(4)")
         for c in range(len(p.quotient.cosets)):
-            assert pairing_value(p, c, p.auts.members[0]) == 0
+            assert pairing_value(p, c, p.auts.images[0]) == 0
 
     def test_automorphisms_without_inn_are_refused_up_front(self):
         # A = {id, (2 5)(3 4)} is closed, but it misses most of Inn(S(3)); its
@@ -108,7 +109,7 @@ class TestPairing:
         p = pair_of("Q8")
         kset = set(p.commutator_subgroup.members)
         for c in range(len(p.quotient.cosets)):
-            for alpha in p.auts.members:
+            for alpha in p.auts.images:
                 assert pairing_value(p, c, alpha) in kset
 
     def test_pair_invariants(self):
@@ -133,13 +134,16 @@ class TestPairing:
 
     @pytest.mark.parametrize("name", ["C(8)", "C(2)×C(2)"])
     def test_foreign_automorphisms_are_refused(self, name):
-        # An automorphism of C(8) reads the indices of C(4) as its own, giving
-        # wrong values or an IndexError; one of C(2)xC(2) splits a coset of C(4).
-        p = pair_of("C(4)")
-        for alpha in compute_aut(catalog_build(name)).members:
-            for c in range(len(p.quotient.cosets)):
-                with pytest.raises(ParentMismatchError):
-                    pairing_value(p, c, alpha)
+        # An automorphism of C(8) would read the indices of C(4) as its own, and
+        # one of C(2)xC(2) would split a coset of C(4). The pairing reads A's own
+        # table, so a foreign A is refused at the (H, A) record, for every H,
+        # built through the memo or directly.
+        A = compute_aut(catalog_build(name))
+        for h in enumerate_subgroups(catalog_build("C(4)")):
+            with pytest.raises(ParentMismatchError):
+                A.action_on(h)
+            with pytest.raises(ParentMismatchError):
+                SubgroupAction(h, A)
 
 
 class TestWitnessSearch:
@@ -421,9 +425,9 @@ def _count_pairing_builds(monkeypatch) -> list[str]:
     calls = []
     real = automorphisms.coset_pairing
 
-    def counted(G, cosets, auts):
-        calls.append(G.label())
-        return real(G, cosets, auts)
+    def counted(A, cosets):
+        calls.append(A.parent.label())
+        return real(A, cosets)
 
     for name, mod in list(sys.modules.items()):
         if name == "autodegree" or name.startswith("autodegree."):
@@ -447,3 +451,16 @@ class TestPairingAfterCaps:
         assert any(w.startswith("S(4): skipped") for w in report.warnings)
         assert "S(4)" not in calls
         assert "D(4)" in calls  # pairs within the caps still build theirs
+
+    def test_quotient_cap_refusal_builds_no_quotient(self):
+        # S(4) is the one catalog group the quotient cap refuses; |H : L| = 24
+        # is read from the subgroup orders, not from an order-24 quotient table.
+        p = pair_of("S(4)")
+        assert cap_refusal(p, AUT_CAP, QUOTIENT_CAP) == "quotient order 24 over cap 16"
+        assert "quotient" not in vars(p)
+
+    def test_unequal_quotient_orders_build_no_quotient(self):
+        # |H : L| is 3 for C(3) and 2 for C(4), so the size gate answers first.
+        p1, p2 = pair_of("C(3)"), pair_of("C(4)")
+        assert find_autoisoclinism(p1, p2) is None
+        assert "quotient" not in vars(p1) and "quotient" not in vars(p2)

@@ -43,7 +43,7 @@ def frozen_records() -> dict[str, tuple[object, str]]:
     return {
         "GroupTable": (g, "table"),
         "SubgroupSet": (h, "members"),
-        "Automorphism": (auts.members[1], "image"),
+        "Automorphism": (Automorphism(g, auts.images[1]), "image"),
         "AutGroup": (auts, "images"),
         "BoundCheck": (BoundCheck("c", Fraction(1, 2), Fraction(1), "upper"), "value"),
         "DegreeReport": (degree_report(h, auts), "pr_definition"),
@@ -80,8 +80,8 @@ def test_group_table_equality_ignores_the_name():
 
 def test_other_records_compare_by_identity():
     g = catalog_build("C(4)")
-    alpha = compute_aut(g).members[1]
-    twin = Automorphism(g, alpha.image)
+    image = compute_aut(g).images[1]
+    alpha, twin = Automorphism(g, image), Automorphism(g, image)
     assert twin != alpha and alpha == alpha
     assert len({alpha, twin}) == 2
     check = BoundCheck("c", Fraction(1, 2), Fraction(1), "upper")
