@@ -50,7 +50,6 @@ from .degree import (
 from .groups import (
     AxiomError,
     GroupError,
-    GroupHom,
     GroupTable,
     InvariantError,
     ParentMismatchError,
@@ -71,6 +70,7 @@ from .groups import (
     subgroup_closure,
     trivial_subgroup,
     validate_group_table,
+    validate_isomorphism,
     whole_subgroup,
 )
 from .isoclinism import (

@@ -16,7 +16,6 @@ from typing import Callable
 from .groups import (
     ORDER_CAP,
     GroupError,
-    GroupHom,
     GroupTable,
     InvariantError,
     ParentMismatchError,
@@ -32,6 +31,7 @@ from .groups import (
     quotient_group,
     refuse_over_cap,
     subgroup_as_group,
+    validate_isomorphism,
 )
 
 
@@ -167,7 +167,7 @@ class AutGroup(_Frozen):
         return record
 
     def validate(self) -> None:
-        """Check the group axioms under composition, each image array by :meth:`GroupHom.validate`."""
+        """Check the group axioms under composition, each image array by :func:`validate_isomorphism`."""
         G, images = self.parent, self.images
         if not images:
             raise InvariantError("automorphism group is empty")
@@ -177,7 +177,7 @@ class AutGroup(_Frozen):
         if images[0] != identity:
             raise InvariantError("members[0] is not the identity automorphism")
         for img in images:
-            GroupHom(G, G, img).validate()
+            validate_isomorphism(G, G, img)
         if closure_witness(identity, images, compose_perms) is not None:
             raise InvariantError("automorphism set not closed under composition")
 
@@ -187,7 +187,7 @@ class AutGroup(_Frozen):
 
         Index i of the abstract group is images[i]; the identity lands at
         index 0 by the ordering argument above. An automorphism is fixed by
-        its images of ``parent.generators`` (as in :meth:`GroupHom.validate`),
+        its images of ``parent.generators`` (as in :func:`validate_isomorphism`),
         so each member is keyed by them (:func:`_composition_table`):
         |generators| lookups per entry, not n. Only the autoisoclinism
         witness search reads this |A|^2-entry table.
@@ -215,7 +215,7 @@ def compute_aut(G: GroupTable, cap: int = ORDER_CAP) -> AutGroup:
     the group's member data, ``images``.
     """
     refuse_over_cap("automorphism search", G.order, cap)
-    images = tuple(sorted(h.image for h in iter_isomorphisms(G, G)))
+    images = tuple(sorted(iter_isomorphisms(G, G)))
     if any(p == q for p, q in zip(images, images[1:])):
         raise InvariantError("automorphism enumeration listed a map twice")
     if closure_witness(tuple(G.elements()), images, compose_perms) is not None:

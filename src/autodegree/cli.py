@@ -148,11 +148,11 @@ def cmd_isoclinic(args) -> int:
     else:
         rows.append(("isoclinic.status", "witness" if check.holds else "witness-degree-mismatch",
                      "status: witness found and verified"))
-        for name, role, hom in (("psi", "quotient map", witness.psi),
-                                ("gamma", "automorphism-group map", witness.gamma),
-                                ("beta", "commutator-subgroup map", witness.beta)):
-            mapping = " ".join(f"{a}->{b}" for a, b in enumerate(hom.image))
-            rows.append((f"witness.{name}", format_members(hom.image), f"{name} ({role}): {mapping}"))
+        for name, role, image in (("psi", "quotient map", witness.psi),
+                                  ("gamma", "automorphism-group map", witness.gamma),
+                                  ("beta", "commutator-subgroup map", witness.beta)):
+            mapping = " ".join(f"{a}->{b}" for a, b in enumerate(image))
+            rows.append((f"witness.{name}", format_members(image), f"{name} ({role}): {mapping}"))
         relation = "=" if check.holds else "!="
         rows.append(("isoclinic.degree1", check.value,
                      f"degrees: {check.value} {relation} {check.bound}"))

@@ -1,7 +1,8 @@
 """Finite groups as Cayley tables over element indices 0..n-1.
 
 Elements are plain ints indexing into an n-by-n multiplication table;
-index 0 is always the identity. Tables, subgroups and homomorphisms, like
+index 0 is always the identity. A map between groups is the tuple of its
+images of the source's elements. Tables, subgroups and quotients, like
 the package's other immutable records, derive from :class:`_Frozen`: their
 fields are set once in ``__init__``, and assigning to or deleting one raises
 AttributeError. Their cached properties are deterministic, so threads may
@@ -546,32 +547,26 @@ def is_normal(G: GroupTable, N: SubgroupSet, in_: SubgroupSet) -> bool:
     return True
 
 
-class GroupHom(_Frozen):
-    """An isomorphism between two groups as an image array over the source; see :meth:`validate`."""
+def validate_isomorphism(source: GroupTable, target: GroupTable, image: tuple[int, ...]) -> None:
+    """Raise InvariantError unless ``image`` is an isomorphism from source onto target.
 
-    def __init__(self, source: GroupTable, target: GroupTable, image: tuple[int, ...]):
-        vars(self).update(source=source, target=target, image=image)
-
-    def validate(self) -> None:
-        """Raise InvariantError unless this is an isomorphism onto the target.
-
-        A bijection f with f(0) = 0 and f(x g) = f(x) f(g) for every x and
-        each g of ``source.generators`` is an isomorphism: every y is a word
-        in those generators, so f(x y) = f(x) f(y) by induction on its length.
-        That is |source| |generators| products, not |source|^2.
-        """
-        img, n = self.image, self.target.order
-        if (len(img) != self.source.order or len(img) != n or set(img) != set(range(n))
-                or not all(isinstance(y, int) for y in img)):
-            raise InvariantError("not a bijection onto the target")
-        if img[0] != 0:
-            raise InvariantError("homomorphism must map the identity to the identity")
-        t = self.target.table
-        for g in self.source.generators:
-            fg = img[g]
-            for x, xg in enumerate(self.source.columns[g]):
-                if img[xg] != t[img[x]][fg]:
-                    raise InvariantError(f"not a homomorphism at ({x}, {g})")
+    A bijection f with f(0) = 0 and f(x g) = f(x) f(g) for every x and
+    each g of ``source.generators`` is an isomorphism: every y is a word
+    in those generators, so f(x y) = f(x) f(y) by induction on its length.
+    That is |source| |generators| products, not |source|^2.
+    """
+    n = target.order
+    if (len(image) != source.order or len(image) != n or set(image) != set(range(n))
+            or not all(isinstance(y, int) for y in image)):
+        raise InvariantError("not a bijection onto the target")
+    if image[0] != 0:
+        raise InvariantError("homomorphism must map the identity to the identity")
+    t = target.table
+    for g in source.generators:
+        fg = image[g]
+        for x, xg in enumerate(source.columns[g]):
+            if image[xg] != t[image[x]][fg]:
+                raise InvariantError(f"not a homomorphism at ({x}, {g})")
 
 
 def subgroup_as_group(G: GroupTable, H: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:
@@ -807,19 +802,19 @@ def _coset_heads(G1: GroupTable, G2: GroupTable) -> Iterator[tuple[tuple[int, ..
             yield phi, deeper
 
 
-def _coset(G1: GroupTable, G2: GroupTable, phi: tuple[int, ...], orbits: list) -> Iterator[GroupHom]:
+def _coset(phi: tuple[int, ...], orbits: list) -> Iterator[tuple[int, ...]]:
     """phi * S_i in search order, ``orbits`` being levels i on: by the image of gens[i], then deeper."""
     if orbits:
         for x in sorted(orbits[0], key=phi.__getitem__):
-            yield from _coset(G1, G2, compose_perms(phi, orbits[0][x]), orbits[1:])
+            yield from _coset(compose_perms(phi, orbits[0][x]), orbits[1:])
     else:
-        yield GroupHom(G1, G2, phi)
+        yield phi
 
 
-def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[GroupHom]:
-    """Yield every isomorphism G1 -> G2 in a fixed deterministic order: the cosets of :func:`_coset_heads`."""
+def iter_isomorphisms(G1: GroupTable, G2: GroupTable) -> Iterator[tuple[int, ...]]:
+    """Yield the image tuple of every isomorphism G1 -> G2, in the fixed order of :func:`_coset_heads`."""
     for phi, orbits in _coset_heads(G1, G2):
-        yield from _coset(G1, G2, phi, orbits)
+        yield from _coset(phi, orbits)
 
 
 def count_isomorphisms(G1: GroupTable, G2: GroupTable) -> int:
@@ -827,8 +822,8 @@ def count_isomorphisms(G1: GroupTable, G2: GroupTable) -> int:
     return sum(math.prod(map(len, orbits)) for _, orbits in _coset_heads(G1, G2))
 
 
-def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[GroupHom]:
-    """First isomorphism G1 -> G2 in the deterministic search order, or None.
+def find_isomorphism(G1: GroupTable, G2: GroupTable) -> Optional[tuple[int, ...]]:
+    """The image tuple of the first isomorphism G1 -> G2 in the deterministic search order, or None.
 
     Its closure calls are those of a depth-first search over the candidates
     of equal order and centraliser size.

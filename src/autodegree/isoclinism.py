@@ -20,8 +20,8 @@ from .automorphisms import AutGroup, SubgroupAction
 from .degree import BoundCheck, pr_definition
 from .groups import (
     GroupError,
-    GroupHom,
     GroupTable,
+    ParentMismatchError,
     PreconditionError,
     SizeCapError,
     SubgroupSet,
@@ -29,6 +29,7 @@ from .groups import (
     _require_same_parent,
     close_partial_map,
     iter_isomorphisms,
+    validate_isomorphism,
     whole_subgroup,
 )
 
@@ -46,17 +47,21 @@ def make_pair(
 
     ``auts`` is Aut(G), if the caller has already computed it; any
     automorphism group containing Inn(G) will do, and one that does not
-    raises :class:`PreconditionError`. The coset pairing is well defined
-    for every H: A contains every inner automorphism, so the autocentre L,
-    whose members every automorphism fixes, lies in the centre of G (hence
-    is normal in H), and for l in L, (xl)^-1 alpha(xl) =
-    l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l = x^-1 alpha(x).
+    raises :class:`PreconditionError`. An automorphism group of another
+    table raises :class:`ParentMismatchError` before Inn(G) is built. The
+    coset pairing is well defined for every H: A contains every inner
+    automorphism, so the autocentre L, whose members every automorphism
+    fixes, lies in the centre of G (hence is normal in H), and for l in L,
+    (xl)^-1 alpha(xl) = l^-1 x^-1 alpha(x) alpha(l) = l^-1 (x^-1 alpha(x)) l
+    = x^-1 alpha(x).
     The pairing is not built here: :func:`_derive_beta` builds it on first
     use, after the witness-search caps have passed, so a pair refused by a
     cap never pays for it. :func:`coset_pairing` builds it and checks every
     coset representative, and a disagreement raises :class:`InvariantError`.
     """
     A = auts if auts is not None else am.compute_aut(G)
+    if A.parent is not G and A.parent != G:
+        raise ParentMismatchError("the automorphisms belong to a different group")
     images = set(A.images)
     missing = [img for img in am.compute_inn(G).images if img not in images]
     if missing:
@@ -65,21 +70,21 @@ def make_pair(
             f"and the coset pairing need; {am.Automorphism(G, missing[0]).cycle_notation()} is missing"
         )
     if H is None:
-        # The whole of A's own group, certified once per A; a foreign A is refused below.
+        # The whole of A's own group, certified once per A.
         H = A.derive(("subgroup", tuple(A.parent.elements())), lambda: whole_subgroup(A.parent))
     _require_same_parent(G, H)
     return A.action_on(H)
 
 
 class IsoclinismWitness(_Frozen):
-    """The triple of isomorphisms making the pairing diagram commute.
+    """The triple of isomorphisms making the pairing diagram commute, as image tuples.
 
     ``psi`` maps quotient 1 to quotient 2, ``gamma`` automorphism group 1 to 2
     as abstract groups, and ``beta`` autocommutator subgroup 1 to 2 as
-    standalone groups.
+    standalone groups; entry x of each is the image of its source's element x.
     """
 
-    def __init__(self, psi: GroupHom, gamma: GroupHom, beta: GroupHom):
+    def __init__(self, psi: tuple[int, ...], gamma: tuple[int, ...], beta: tuple[int, ...]):
         vars(self).update(psi=psi, gamma=gamma, beta=beta)
 
 
@@ -162,17 +167,13 @@ def find_autoisoclinism(
         return None
     for gamma in iter_isomorphisms(P1.auts.abstract_group, P2.auts.abstract_group):
         for psi in chain(psis, _kept(source, psis)):
-            beta = _derive_beta(P1, P2, psi.image, gamma.image)
+            beta = _derive_beta(P1, P2, psi, gamma)
             if beta is not None:
-                return IsoclinismWitness(
-                    psi=psi,
-                    gamma=gamma,
-                    beta=GroupHom(P1.commutator_group, P2.commutator_group, beta),
-                )
+                return IsoclinismWitness(psi=psi, gamma=gamma, beta=beta)
     return None
 
 
-def _kept(source: Iterator[GroupHom], kept: list[GroupHom]) -> Iterator[GroupHom]:
+def _kept(source: Iterator[tuple[int, ...]], kept: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """The items of ``source``, each appended to ``kept`` as it is drawn."""
     for item in source:
         kept.append(item)
@@ -184,27 +185,26 @@ def verify_witness(
 ) -> tuple[bool, Optional[str]]:
     """Re-check a witness from scratch, independent of the search path.
 
-    Verifies that each of psi, gamma, beta is an isomorphism, with one
-    :meth:`GroupHom.validate` per map, and that the square commutes on
-    every (coset, automorphism) input, one lookup each in the pairing
-    tables that :func:`coset_pairing` builds afresh for both sides; the
-    stored pairing is never read. Returns (ok, counterexample-or-None); a
-    counterexample names the failing map as psi, gamma or beta.
+    Verifies that each of psi, gamma, beta is an isomorphism between the
+    pairs' own groups, named as in :class:`IsoclinismWitness`, with one
+    :func:`validate_isomorphism` per image tuple, and that the square
+    commutes on every (coset, automorphism) input, one lookup each in the
+    pairing tables that :func:`coset_pairing` builds afresh for both sides;
+    the stored pairing is never read. Returns (ok, counterexample-or-None);
+    a counterexample names the failing map as psi, gamma or beta.
     """
-    for label, hom, src, dst in (
+    for label, image, src, dst in (
         ("psi", witness.psi, P1.quotient.group, P2.quotient.group),
         ("gamma", witness.gamma, P1.auts.abstract_group, P2.auts.abstract_group),
         ("beta", witness.beta, P1.commutator_group, P2.commutator_group),
     ):
-        if hom.source.table != src.table or hom.target.table != dst.table:
-            return False, f"{label}: maps the wrong groups"
         try:
-            hom.validate()
+            validate_isomorphism(src, dst, image)
         except GroupError as exc:
             return False, f"{label}: {exc}"
     rows1, rows2 = (am.coset_pairing(P.auts, P.quotient.cosets) for P in (P1, P2))
     pos1, pos2 = P1.commutator_position, P2.commutator_position
-    psi, gamma, beta = witness.psi.image, witness.gamma.image, witness.beta.image
+    psi, gamma, beta = witness.psi, witness.gamma, witness.beta
     for c, row1 in enumerate(rows1):
         row2 = rows2[psi[c]]
         for a, v1 in enumerate(row1):

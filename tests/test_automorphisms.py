@@ -120,7 +120,7 @@ class TestComputeAut:
         g, full = aut_of(name)
         for dropped in full.images:
             def search(G1, G2, dropped=dropped):
-                return (h for h in iter_isomorphisms(G1, G2) if h.image != dropped)
+                return (image for image in iter_isomorphisms(G1, G2) if image != dropped)
 
             monkeypatch.setattr(automorphisms, "iter_isomorphisms", search)
             with pytest.raises(InvariantError, match="not closed under composition"):

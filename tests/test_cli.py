@@ -362,6 +362,24 @@ class TestIsoclinic:
         # The whole group through the shared Aut memo, then L and [H, A].
         assert built == [(0, 1, 2, 3, 4, 5), (0,), (0, 3, 4)]
 
+    def test_equal_tables_under_equal_labels_share_aut(self, capsys, monkeypatch):
+        # Each pair spec loads its group afresh, so pair 2 is handed pair 1's Aut
+        # over an equal table, not the same object; make_pair takes it as G's own.
+        calls = []
+        make_pair = cli.make_pair
+
+        def recording(G, H=None, auts=None):
+            calls.append((G, auts))
+            return make_pair(G, H, auts)
+
+        monkeypatch.setattr(cli, "make_pair", recording)
+        code, out, _ = run(capsys, "isoclinic", "S(3)", "S(3):whole", "--format", "kv")
+        assert code == 0
+        assert parse_kv(out)["isoclinic.status"] == "witness"
+        (g1, first), (g2, shared) = calls
+        assert first is None and shared.parent is g1
+        assert g2 is not g1 and g2 == g1 and g2.label() == g1.label()
+
     def test_fast_rejection_c3_c8(self, capsys):
         code, out, _ = run(capsys, "isoclinic", "C(3)", "C(8)")
         assert code == 0

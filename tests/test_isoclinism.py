@@ -17,7 +17,6 @@ from autodegree.automorphisms import (
 from autodegree.catalog import catalog_build
 from autodegree.degree import pr_definition
 from autodegree.groups import (
-    GroupHom,
     ParentMismatchError,
     PreconditionError,
     SizeCapError,
@@ -53,17 +52,17 @@ def any_beta_derives(P1, P2) -> bool:
     """Whether some (gamma, psi) derives a beta, searched with no size gate."""
     psis = list(iter_isomorphisms(P1.quotient.group, P2.quotient.group))
     return any(
-        isoclinism._derive_beta(P1, P2, psi.image, gamma.image) is not None
+        isoclinism._derive_beta(P1, P2, psi, gamma) is not None
         for gamma in iter_isomorphisms(P1.auts.abstract_group, P2.auts.abstract_group)
         for psi in psis
     )
 
 
-def inverted(hom: GroupHom) -> GroupHom:
-    image = [0] * len(hom.image)
-    for a, y in enumerate(hom.image):
-        image[y] = a
-    return GroupHom(hom.target, hom.source, tuple(image))
+def inverted(image: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(image)
+    for a, y in enumerate(image):
+        inverse[y] = a
+    return tuple(inverse)
 
 
 def size_gate_rejects(P1, P2) -> bool:
@@ -125,12 +124,26 @@ class TestPairing:
             assert make_pair(s3, h, auts=A) is A.action_on(h)
 
     def test_foreign_automorphisms_for_the_whole_group_are_refused(self):
-        # Inn(C(4)) is trivial, so the Inn(G) check passes Aut(C(2)xC(2)); the
-        # parent check refuses it, and A's memo keeps only its own whole group.
+        # Inn(C(4)) is trivial, so the Inn(G) check alone would pass Aut(C(2)xC(2));
+        # the parent check refuses it first, before anything enters A's memo.
         A = compute_aut(catalog_build("C(2)×C(2)"))
         with pytest.raises(ParentMismatchError):
             make_pair(catalog_build("C(4)"), auts=A)
-        assert all(h.parent is A.parent for h in A.derived.values())
+        assert A.derived == {}
+
+    @pytest.mark.parametrize("name, foreign", [("D(3)", "C(6)"), ("C(4)", "C(2)×C(2)")])
+    def test_a_foreign_automorphism_group_is_named(self, monkeypatch, name, foreign):
+        # Aut(C(6)) lacks most of Inn(D(3)), and Inn(C(4)) is trivial, so without
+        # the parent check the first is blamed on Inn(G) and the second on H.
+        # The check comes first: Inn(G) is never built.
+        A = compute_aut(catalog_build(foreign))
+
+        def refuse(G):
+            raise AssertionError("make_pair built Inn(G) for a foreign Aut")
+
+        monkeypatch.setattr(automorphisms, "compute_inn", refuse)
+        with pytest.raises(ParentMismatchError, match="^the automorphisms belong to a different group$"):
+            make_pair(catalog_build(name), auts=A)
 
     @pytest.mark.parametrize("name", ["C(8)", "C(2)×C(2)"])
     def test_foreign_automorphisms_are_refused(self, name):
@@ -174,12 +187,9 @@ class TestWitnessSearch:
     def test_identity_triple_verifies(self):
         p = pair_of("C(4)")
         ident = IsoclinismWitness(
-            psi=GroupHom(p.quotient.group, p.quotient.group,
-                         tuple(p.quotient.group.elements())),
-            gamma=GroupHom(p.auts.abstract_group, p.auts.abstract_group,
-                           tuple(p.auts.abstract_group.elements())),
-            beta=GroupHom(p.commutator_group, p.commutator_group,
-                          tuple(p.commutator_group.elements())),
+            psi=tuple(p.quotient.group.elements()),
+            gamma=tuple(p.auts.abstract_group.elements()),
+            beta=tuple(p.commutator_group.elements()),
         )
         ok, why = verify_witness(p, p, ident)
         assert ok, why
@@ -209,11 +219,19 @@ class TestWitnessSearch:
         bad = IsoclinismWitness(
             psi=w.psi,
             gamma=w.gamma,
-            beta=GroupHom(p.commutator_group, p.commutator_group, (1, 0)),
+            beta=(1, 0),
         )
         ok, why = verify_witness(p, p, bad)
         assert not ok
         assert "beta" in why
+
+    def test_another_pairs_witness_is_refused_at_psi(self):
+        # The (C(4), C(4)) witness maps quotients of order 2; those of (S(3), S(3))
+        # have order 6, so psi is checked against the S(3) quotients and fails.
+        p = pair_of("C(4)")
+        w = find_autoisoclinism(p, p)
+        q = pair_of("S(3)")
+        assert verify_witness(q, q, w) == (False, "psi: not a bijection onto the target")
 
     def test_fast_rejection_on_aut_size(self):
         p1 = pair_of("C(3)")
@@ -294,11 +312,9 @@ class TestWitnessSearch:
         # bijection but not a homomorphism.
         p = pair_of("S(3)")
         w = find_autoisoclinism(p, p)
-        hom = getattr(w, label)
         for image, defect in (((0,) * 6, "not a bijection"), ((0, 3, 2, 1, 4, 5), "not a homomorphism")):
-            homs = {"psi": w.psi, "gamma": w.gamma, "beta": w.beta,
-                    label: GroupHom(hom.source, hom.target, image)}
-            bad = IsoclinismWitness(**homs)
+            maps = {"psi": w.psi, "gamma": w.gamma, "beta": w.beta, label: image}
+            bad = IsoclinismWitness(**maps)
             ok, why = verify_witness(p, p, bad)
             assert not ok
             assert why.startswith(f"{label}: {defect}"), why

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from autodegree import CatalogEntry, catalog_build, run_scan
+from autodegree.reporting import parse_kv
 from autodegree.scan import (SUITES, ScanReport, render_scan_human, render_scan_kv, scan_human,
                              scan_kv, scan_records)
 
@@ -114,3 +115,16 @@ def test_joining_a_kept_report_holds_pieces_not_lines():
         tracemalloc.stop()
     # One string per line peaks at 3.8 times the 3.6 MB text; pieces at 2.0 times.
     assert peak < 2.5 * len(text)
+
+
+def test_a_group_over_the_order_cap_is_skipped_with_a_warning():
+    # At the default group_cap the Aut search refuses order 48 with SizeCapError;
+    # the scan turns that into one warning and makes no record for the group.
+    entry = CatalogEntry("D(4)×S(3)", catalog_build("D(4)×S(3)"))
+    report = run_scan("formulas", max_order=48, catalog=(entry,))
+    warning = ("D(4)×S(3): skipped (automorphism search is capped at group order 24; "
+               "this group has order 48)")
+    assert report.records == []
+    assert report.warnings == [warning]
+    kv = parse_kv("\n".join(render_scan_kv(report)))
+    assert kv["warning.0"] == warning
