@@ -86,11 +86,12 @@ class AutGroup(_Frozen):
     four of these tables (``fixer_count``, ``stabilizer_sizes``,
     ``fixed_point_sets``, ``orbit_of``), so their agreement stays a check.
 
-    :attr:`derived` is the one memo of what is built from (H, A), read
-    through :meth:`derive`: the (H, A) records of :meth:`action_on`, each
-    certified subgroup once per member tuple, however many records share
-    it as H, L or [H, A], and the group induced on each orbit. No degree
-    route reads it.
+    :attr:`derived` is the one memo of what is built from (H, A): the
+    (H, A) records of :meth:`action_on`, the [H, A] of each autocommutator
+    set, [H, A] as its own group, and the group induced on each orbit. No
+    degree route reads it. Every H, L and [H, A] is read from the parent
+    table's registry (:meth:`GroupTable.subgroup`), so each is certified
+    once per table, in any call order and under every automorphism group.
 
     :meth:`action_on` keeps one :class:`SubgroupAction` per subgroup H,
     holding L, S, [H, A], X, the fixer-tally degree, H/L and the coset
@@ -138,12 +139,11 @@ class AutGroup(_Frozen):
         """What is built from (H, A) so far, each once per group, by kind and member tuple.
 
         ``("action", members of H)`` holds the :class:`SubgroupAction` of H;
-        ``("subgroup", members)`` the one certified :class:`SubgroupSet` with
-        those members, registered by the first record whose H, L or [H, A]
-        it is; ``("commutator", S)`` the entry of the subgroup [H, A] that
-        the autocommutator set S generates; ``("table", members)`` that
-        subgroup as its own group; ``("induced", (x,))`` the group induced
-        on the orbit with least point x, or None when Stab(x) is not normal.
+        ``("commutator", S)`` the subgroup [H, A] that the autocommutator
+        set S generates, read from the parent's registry;
+        ``("table", members)`` that subgroup as its own group;
+        ``("induced", (x,))`` the group induced on the orbit with least
+        point x, or None when Stab(x) is not normal.
         """
         return {}
 
@@ -163,7 +163,6 @@ class AutGroup(_Frozen):
         record = self.derived.get(("action", H.members))
         if record is None:
             record = self.derived["action", H.members] = SubgroupAction(H, self)
-            self.derived.setdefault(("subgroup", H.members), H)
         return record
 
     def validate(self) -> None:
@@ -260,14 +259,14 @@ def fixed_subgroup(H: SubgroupSet, alpha: Automorphism) -> SubgroupSet:
     """Fixed points of alpha inside H; alpha must be an automorphism of H's parent.
 
     The fixed set of an automorphism inside a subgroup is always closed;
-    closure is still verified and a violation raises rather than silently
-    re-closing the set.
+    closure is still verified when the parent's registry first certifies
+    the set, and a violation raises rather than silently re-closing it.
     """
     if alpha.parent != H.parent:
         raise ParentMismatchError("automorphism belongs to a different group")
     fixed = tuple(x for x in H.members if alpha.image[x] == x)
     try:
-        return SubgroupSet(H.parent, fixed)
+        return H.parent.subgroup(fixed)
     except GroupError as exc:
         raise InvariantError(
             f"fixed points of an automorphism inside a subgroup failed to close: {exc}"
@@ -319,8 +318,7 @@ class SubgroupAction(_Frozen):
     @cached_property
     def autocentre(self) -> SubgroupSet:
         H, orbits = self.subgroup, self.auts.orbit_of
-        fixed = tuple(x for x in H.members if len(orbits[x]) == 1)
-        return self.auts.derive(("subgroup", fixed), lambda: SubgroupSet(H.parent, fixed))
+        return self.auts.parent.subgroup(tuple(x for x in H.members if len(orbits[x]) == 1))
 
     @cached_property
     def autocommutators(self) -> tuple[int, ...]:
@@ -331,13 +329,9 @@ class SubgroupAction(_Frozen):
 
     @cached_property
     def commutator_subgroup(self) -> SubgroupSet:
-        G, A, seed = self.subgroup.parent, self.auts, self.autocommutators
-
-        def close() -> SubgroupSet:
-            members = tuple(sorted(_closure_members(G, seed)))
-            return A.derive(("subgroup", members), lambda: SubgroupSet(G, members))
-
-        return A.derive(("commutator", seed), close)
+        G, seed = self.auts.parent, self.autocommutators
+        return self.auts.derive(("commutator", seed),
+                                lambda: G.subgroup(tuple(sorted(_closure_members(G, seed)))))
 
     @cached_property
     def only_identity(self) -> tuple[int, ...]:

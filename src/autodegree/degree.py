@@ -174,12 +174,12 @@ _HOLDS = {"upper": operator.le, "lower": operator.ge, "equal": operator.eq}
 class BoundCheck(_Frozen):
     """One evaluated inequality or equality claim about a degree.
 
-    ``holds`` and ``is_equality`` are derived from ``value``, ``bound`` and
-    ``direction``, never stored, by comparing the integers
+    ``holds`` and ``is_equality`` are decided once, at construction, from
+    ``value``, ``bound`` and ``direction``, by comparing the integers
     value.numerator * bound.denominator and bound.numerator * value.denominator
     (denominators are positive, so the order is that of the two values;
-    ints carry both attributes too). An unknown direction raises
-    :class:`ValueError` at construction. ``holds`` is never enforced: a
+    ints carry both attributes too), and stored as fields. An unknown
+    direction raises :class:`ValueError`. ``holds`` is never enforced: a
     falsified claim whose hypothesis is met is a scan failure, not an
     exception. ``informational`` marks claims that are reported as
     findings instead of failures.
@@ -191,20 +191,11 @@ class BoundCheck(_Frozen):
                  condition_met: Optional[bool] = None, informational: bool = False):
         if direction not in _HOLDS:
             raise ValueError(f"unknown direction {direction!r}")
+        v, b = value.numerator * bound.denominator, bound.numerator * value.denominator
         vars(self).update(
             name=name, value=value, bound=bound, direction=direction,
             hypothesis_met=hypothesis_met, p=p, q=q, condition_met=condition_met,
-            informational=informational)
-
-    @property
-    def holds(self) -> bool:
-        v, b = self.value, self.bound
-        return _HOLDS[self.direction](v.numerator * b.denominator, b.numerator * v.denominator)
-
-    @property
-    def is_equality(self) -> bool:
-        v, b = self.value, self.bound
-        return v.numerator * b.denominator == b.numerator * v.denominator
+            informational=informational, holds=_HOLDS[direction](v, b), is_equality=v == b)
 
 
 def _sharp(p: int, q: int, k: int) -> Fraction:

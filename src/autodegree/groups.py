@@ -77,7 +77,8 @@ class GroupTable(_Frozen):
     ``table[a][b]`` is the index of the product a*b. Constructors in this
     package produce valid tables by construction; text input must go
     through :func:`parse_group_table`, which checks every axiom. Two tables
-    are equal when their tables are; ``name`` is only a label.
+    are equal when their tables are; ``name`` is only a label. Each table
+    keeps the one registry of its certified subgroups (:meth:`subgroup`).
     """
 
     def __init__(self, table: tuple[tuple[int, ...], ...], name: Optional[str] = None):
@@ -165,6 +166,21 @@ class GroupTable(_Frozen):
                         break
             gens, members = best
         return gens
+
+    @cached_property
+    def certified(self) -> dict[tuple[int, ...], "SubgroupSet"]:
+        """The certified subgroups of this table so far, by member tuple; filled by :meth:`subgroup`."""
+        return {}
+
+    def subgroup(self, members: tuple[int, ...]) -> "SubgroupSet":
+        """The one :class:`SubgroupSet` of this table with these sorted members.
+
+        Only the first request, from any caller in any order, certifies it.
+        """
+        H = self.certified.get(members)
+        if H is None:
+            H = self.certified[members] = SubgroupSet(self, members)
+        return H
 
     def label(self) -> str:
         return self.name if self.name is not None else f"group<{self.order}>"
@@ -352,7 +368,8 @@ class SubgroupSet(_Frozen):
     Construction certifies the subgroup axioms with :func:`closure_witness`,
     in O(|H| log |H|) table lookups, so any SubgroupSet in circulation is
     genuinely a subgroup. A set that is not closed raises AxiomError naming
-    a pair whose product leaves it.
+    a pair whose product leaves it. The package builds each one through
+    :meth:`GroupTable.subgroup`, which keeps one per member tuple of a table.
     """
 
     def __init__(self, parent: GroupTable, members: tuple[int, ...]):
@@ -403,11 +420,11 @@ def _require_same_parent(G: GroupTable, H: SubgroupSet) -> None:
 
 
 def trivial_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, (0,))
+    return G.subgroup((0,))
 
 
 def whole_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, tuple(G.elements()))
+    return G.subgroup(tuple(G.elements()))
 
 
 def _tuple_getter(points: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -473,7 +490,7 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     gens = sorted(set(seed))
     for s in gens:
         G.check_element(s)
-    return SubgroupSet(G, tuple(sorted(_closure_members(G, gens))))
+    return G.subgroup(tuple(sorted(_closure_members(G, gens))))
 
 
 def refuse_over_cap(search: str, order: int, cap: int = ORDER_CAP) -> None:
@@ -507,7 +524,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
 
     Works by cyclic extension: start from the trivial subgroup and
     repeatedly extend each known subgroup K by a single new generator g;
-    only a member tuple not seen before becomes a (validated) SubgroupSet.
+    a member tuple not seen before is read from :meth:`GroupTable.subgroup`.
     Each subgroup keeps the generators that produced it. K is extended only
     by the least g of each double coset K g K (:func:`_cyclic_extensions`):
     a skipped a g b has an earlier g with the same <K, g>, so every subgroup
@@ -523,7 +540,7 @@ def enumerate_subgroups(G: GroupTable, cap: int = ORDER_CAP) -> list[SubgroupSet
         for h, gens in frontier:
             for g, members in _cyclic_extensions(G, h.members, gens):
                 if members not in found:
-                    found[members] = SubgroupSet(G, members)
+                    found[members] = G.subgroup(members)
                     nxt.append((found[members], gens + (g,)))
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.size, s.members))

@@ -70,8 +70,7 @@ def make_pair(
             f"and the coset pairing need; {am.Automorphism(G, missing[0]).cycle_notation()} is missing"
         )
     if H is None:
-        # The whole of A's own group, certified once per A.
-        H = A.derive(("subgroup", tuple(A.parent.elements())), lambda: whole_subgroup(A.parent))
+        H = whole_subgroup(A.parent)
     _require_same_parent(G, H)
     return A.action_on(H)
 

@@ -24,6 +24,7 @@ from autodegree.automorphisms import (
     stabilizer,
     trivial_stabilizer_set,
 )
+from autodegree.degree import degree_report
 from autodegree.groups import (
     GroupTable,
     InvariantError,
@@ -533,6 +534,19 @@ def _lattice_and_aut(name: str) -> tuple:
     return g, enumerate_subgroups(g, cap=48), compute_aut(g, cap=48)
 
 
+def _certifications(monkeypatch) -> list[tuple[int, ...]]:
+    """The members of each SubgroupSet certified from now on, in order."""
+    built = []
+    validate = SubgroupSet.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        validate(self)
+
+    monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+    return built
+
+
 def _record_rows(report) -> list[tuple]:
     return [(r.suite, r.group, r.subgroup, r.name, r.status, r.value, r.bound, r.detail)
             for r in report.records]
@@ -540,7 +554,7 @@ def _record_rows(report) -> list[tuple]:
 
 @pytest.mark.parametrize("name", ["D(4)×S(3)", "C(2)×S(4)"])
 class TestDerivedMemo:
-    """The autocentres and [H, A] that ``AutGroup.derived`` shares between subgroups."""
+    """The autocentres and [H, A] that subgroups share, read from the table's registry."""
 
     def test_each_subgroup_reads_the_oracle_values(self, name):
         g, subs, a = _lattice_and_aut(name)
@@ -573,41 +587,38 @@ class TestDerivedMemo:
         assert all(len(ids) == 1 for ids in by_members.values())
 
     def test_each_distinct_subgroup_is_certified_once(self, name, monkeypatch):
-        # A whole scan records the lattice first, so it certifies each of the
-        # 120 subgroups of D(4)×S(3), or the 98 of C(2)×S(4), once, when it is
-        # enumerated, and every L and [H, A] is one of them.
+        # A whole scan certifies each of the 120 subgroups of D(4)×S(3), or
+        # the 98 of C(2)×S(4), once, when it is enumerated, and every L and
+        # [H, A] is one of them.
         g = catalog_build(name)
-        built = []
-        validate = SubgroupSet.__post_init__
-
-        def counting(self):
-            built.append(self.members)
-            validate(self)
-
-        monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+        built = _certifications(monkeypatch)
         run_scan("all", max_order=48, catalog=(CatalogEntry(name, g),), group_cap=48)
         assert len(built) == {"D(4)×S(3)": 120, "C(2)×S(4)": 98}[name]
         assert len(set(built)) == len(built)
 
     def test_a_recorded_subgroup_is_never_certified_again(self, name, monkeypatch):
-        # Read H by H in lattice order, an L or [H, A] with the members of an
-        # already recorded H reuses it; only a larger [H, A] is certified.
+        # Every L and [H, A] is a subgroup of G, which the table's registry
+        # already holds after enumeration, so reading them certifies nothing.
         _, subs, a = _lattice_and_aut(name)
-        recorded: set[tuple[int, ...]] = set()
-        again, built = [], []
-        validate = SubgroupSet.__post_init__
-
-        def counting(self):
-            (again if self.members in recorded else built).append(self.members)
-            validate(self)
-
-        monkeypatch.setattr(SubgroupSet, "__post_init__", counting)
+        built = _certifications(monkeypatch)
         for h in subs:
             record = a.action_on(h)
-            recorded.add(h.members)
             record.autocentre, record.commutator_subgroup, record.commutator_group
-        assert again == []
-        assert len(built) == len(set(built)) > 0
+        assert built == []
+
+    def test_certification_does_not_depend_on_call_order(self, name, monkeypatch):
+        # Reports in reverse lattice order, against Aut(G) and then Inn(G), read
+        # every L and [H, A] from the lattice's own objects and certify nothing.
+        g, subs, a = _lattice_and_aut(name)
+        lattice = {h.members: h for h in subs}
+        built = _certifications(monkeypatch)
+        for auts in (a, compute_inn(g)):
+            for h in reversed(subs):
+                degree_report(h, auts)
+                record = auts.action_on(h)
+                for k in (record.autocentre, record.commutator_subgroup):
+                    assert k is lattice[k.members]
+        assert built == []
 
 
 def test_a_corrupt_memo_entry_moves_only_the_records_of_its_seed(monkeypatch):

@@ -511,6 +511,14 @@ class TestSubgroups:
         with pytest.raises(AxiomError):
             SubgroupSet(cyclic(4), (2,))
 
+    def test_table_registers_each_certified_subgroup_once(self):
+        g = cyclic(4)
+        h = g.subgroup((0, 2))
+        assert subgroup_closure(g, {2}) is h and enumerate_subgroups(g)[1] is h
+        with pytest.raises(AxiomError):
+            g.subgroup((0, 1))
+        assert (0, 1) not in g.certified
+
     def test_lagrange_over_catalog(self):
         for name in ["C(12)", "S(3)", "D(4)", "Q8", "A(4)"]:
             g = catalog_build(name)
